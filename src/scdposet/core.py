@@ -77,10 +77,17 @@ class Composition:
 
 
 def parse_parts(text: str) -> tuple[int, ...]:
-    """Parse "2,0,5,0" into (2, 0, 5, 0). Raises ValueError on junk."""
+    """Parse "2,0,5,0" into (2, 0, 5, 0). Raises ValueError on junk.
+
+    Each part must be ASCII decimal digits only: no sign, underscore,
+    whitespace or non-ASCII digit, all of which `int` would accept.
+    """
     items = text.split(",")
     if items == [""]:
         raise ValueError("empty vector")
+    for item in items:
+        if not (item.isascii() and item.isdigit()):
+            raise ValueError(f"part {item!r} is not a decimal number")
     return tuple(int(item) for item in items)
 
 

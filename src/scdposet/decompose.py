@@ -13,8 +13,9 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, GridShape, covers, rank, star
 from .locate import locate_parts
@@ -39,8 +40,6 @@ POSITIONS_PER_CHAIN = 64
 SAMPLED_TABLEAU_CELLS = 65536
 
 _PARALLEL_MIN_STARTS = 256
-
-PER_CHAIN_CHECKS = ("symmetric", "saturated", "disjoint", "involution", "corollary-vs-simulation")
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,25 +81,6 @@ def decompose(shape: GridShape) -> Iterator[Chain]:
     """Stream every chain of the decomposition in lexicographic start order."""
     for parts in iter_start_parts(shape):
         yield chain_elements(StartVector(Composition(shape, parts)))
-
-
-@dataclass(frozen=True, slots=True)
-class Decomposition:
-    """A fully materialized decomposition; only sensible for small grids."""
-
-    shape: GridShape
-    chains: tuple[Chain, ...]
-
-    @classmethod
-    def build(cls, shape: GridShape) -> "Decomposition":
-        return cls(shape, tuple(decompose(shape)))
-
-    @property
-    def total_elements(self) -> int:
-        return sum(len(ch) for ch in self.chains)
-
-    def __len__(self) -> int:
-        return len(self.chains)
 
 
 def chain_length_histogram(shape: GridShape) -> dict[int, int]:
@@ -205,100 +185,104 @@ def _positions(k: int, limit: int) -> list[int]:
     return sorted({round(i * step) for i in range(limit)})
 
 
-def _alpha_violation(shape: GridShape, name: str, parts: tuple[int, ...], full: bool) -> dict | None:
-    """First violation of one per-chain check for one start vector, or None.
+def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], Composition], Sequence[int]]:
+    """Element accessor and probe positions for the chain of `sv`.
 
-    With full=True the chain is materialized and checked element by element;
-    otherwise O(m) random access probes a bounded set of positions.
+    Full mode materializes the chain and probes every position; sampled mode
+    probes a bounded set of positions by O(m) random access.
     """
-    n = shape.n
-    top = shape.top_rank
-    sv = StartVector(Composition(shape, parts))
-    k_total = top - 2 * sum(parts)
+    if full:
+        elements = chain_elements(sv).elements
+        return elements.__getitem__, range(len(elements))
+    k_total = sv.shape.top_rank - 2 * sum(sv.parts)
+    return partial(element_at, sv), _positions(k_total, POSITIONS_PER_CHAIN)
 
-    if name == "symmetric":
-        lo = sum(parts)
-        hi = rank(element_at(sv, k_total))
-        if lo + hi != top:
-            return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
-        return None
 
-    if name == "saturated":
-        if full:
-            elements = chain_elements(sv).elements
-            for a, b in zip(elements, elements[1:]):
-                if not covers(a, b):
-                    return {"alpha": list(parts), "low": list(a.parts), "high": list(b.parts)}
-        else:
-            for j in _positions(k_total, POSITIONS_PER_CHAIN):
-                if j == k_total:
-                    continue
-                a, b = element_at(sv, j), element_at(sv, j + 1)
-                if not covers(a, b):
-                    return {"alpha": list(parts), "low": list(a.parts), "high": list(b.parts)}
-        return None
+def _check_symmetric(sv: StartVector, full: bool) -> dict | None:
+    parts = sv.parts
+    lo = sum(parts)
+    hi = rank(element_at(sv, sv.shape.top_rank - 2 * lo))
+    if lo + hi != sv.shape.top_rank:
+        return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
+    return None
 
-    if name == "disjoint":
-        if full:
-            for el in chain_elements(sv).elements:
-                back = locate_parts(el.parts, n)
-                if back != parts:
-                    return {"alpha": list(parts), "element": list(el.parts), "located": list(back)}
-        else:
-            for j in _positions(k_total, POSITIONS_PER_CHAIN):
-                el = element_at(sv, j)
-                back = locate_parts(el.parts, n)
-                if back != parts:
-                    return {"alpha": list(parts), "element": list(el.parts), "located": list(back)}
-        return None
 
-    if name == "involution":
-        image = psi(sv)
-        again = psi(image)
-        if again.parts != parts:
-            return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
-        if alpha_end_parts(image.parts, n) != tuple(reversed(parts)):
-            return {"alpha": list(parts), "psi": list(image.parts), "reason": "end vector is not the reverse"}
-        if shape.top_rank <= SAMPLED_TABLEAU_CELLS or full:
-            rotated = rotate_180(build_tableau(sv))
-            direct = strip_sources(build_tableau(image).cells)
-            if rotated != direct:
-                return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
-        if full:
-            fwd = chain_elements(sv).elements
-            bwd = chain_elements(image).elements
-            if len(fwd) != len(bwd) or any(
-                b.parts != star(f).parts for b, f in zip(bwd, reversed(fwd))
-            ):
-                return {"alpha": list(parts), "psi": list(image.parts), "reason": "chain is not the reversed star"}
-        else:
-            for j in _positions(k_total, POSITIONS_PER_CHAIN):
-                if element_at(image, j).parts != star(element_at(sv, k_total - j)).parts:
-                    return {
-                        "alpha": list(parts),
-                        "psi": list(image.parts),
-                        "reason": f"chain mismatch at position {j}",
-                    }
-        return None
+def _check_saturated(sv: StartVector, full: bool) -> dict | None:
+    at, positions = _probe(sv, full)
+    for j in positions[:-1]:
+        a, b = at(j), at(j + 1)
+        if not covers(a, b):
+            return {"alpha": list(sv.parts), "low": list(a.parts), "high": list(b.parts)}
+    return None
 
-    if name == "corollary-vs-simulation":
-        fast = alpha_end_parts(parts, n)
-        slow = alpha_end_from_tableau(build_tableau(sv))
-        if fast != slow:
-            return {"alpha": list(parts), "formula": list(fast), "simulation": list(slow)}
-        return None
 
-    raise ValueError(f"unknown check {name!r}")
+def _check_disjoint(sv: StartVector, full: bool) -> dict | None:
+    at, positions = _probe(sv, full)
+    for j in positions:
+        el = at(j)
+        back = locate_parts(el.parts, sv.shape.n)
+        if back != sv.parts:
+            return {"alpha": list(sv.parts), "element": list(el.parts), "located": list(back)}
+    return None
+
+
+def _check_involution(sv: StartVector, full: bool) -> dict | None:
+    parts = sv.parts
+    image = psi(sv)
+    again = psi(image)
+    if again.parts != parts:
+        return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
+    if alpha_end_parts(image.parts, sv.shape.n) != tuple(reversed(parts)):
+        return {"alpha": list(parts), "psi": list(image.parts), "reason": "end vector is not the reverse"}
+    if full or sv.shape.top_rank <= SAMPLED_TABLEAU_CELLS:
+        rotated = rotate_180(build_tableau(sv))
+        direct = strip_sources(build_tableau(image).cells)
+        if rotated != direct:
+            return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
+    at, positions = _probe(sv, full)
+    image_at, image_positions = _probe(image, full)
+    if image_positions != positions:
+        return {"alpha": list(parts), "psi": list(image.parts), "reason": "chain is not the reversed star"}
+    last = positions[-1]
+    for j in positions:
+        if image_at(j).parts != star(at(last - j)).parts:
+            return {"alpha": list(parts), "psi": list(image.parts), "reason": f"chain mismatch at position {j}"}
+    return None
+
+
+def _check_corollary(sv: StartVector, full: bool) -> dict | None:
+    fast = alpha_end_parts(sv.parts, sv.shape.n)
+    slow = alpha_end_from_tableau(build_tableau(sv))
+    if fast != slow:
+        return {"alpha": list(sv.parts), "formula": list(fast), "simulation": list(slow)}
+    return None
+
+
+# Per-chain checks in report order.  Each returns the first violation for one
+# start vector, or None; `full` probes every chain position, not a sample.
+_CHAIN_CHECKS: dict[str, Callable[[StartVector, bool], dict | None]] = {
+    "symmetric": _check_symmetric,
+    "saturated": _check_saturated,
+    "disjoint": _check_disjoint,
+    "involution": _check_involution,
+    "corollary-vs-simulation": _check_corollary,
+}
+
+PER_CHAIN_CHECKS = tuple(_CHAIN_CHECKS)
+
+
+def _first_violation(shape: GridShape, name: str, starts: Iterable[tuple[int, ...]], full: bool) -> dict | None:
+    check = _CHAIN_CHECKS[name]
+    for parts in starts:
+        bad = check(StartVector(Composition(shape, parts)), full)
+        if bad is not None:
+            return bad
+    return None
 
 
 def _chunk_task(args: tuple[int, int, str, bool, list[tuple[int, ...]]]) -> dict | None:
     m, n, name, full, chunk = args
-    shape = GridShape(m, n)
-    for parts in chunk:
-        bad = _alpha_violation(shape, name, parts, full)
-        if bad is not None:
-            return bad
-    return None
+    return _first_violation(GridShape(m, n), name, chunk, full)
 
 
 def _run_per_chain_check(
@@ -322,11 +306,7 @@ def _run_per_chain_check(
                     counterexample = bad
                     break
     else:
-        for parts in starts:
-            bad = _alpha_violation(shape, name, parts, full)
-            if bad is not None:
-                counterexample = bad
-                break
+        counterexample = _first_violation(shape, name, starts, full)
     seconds = time.perf_counter() - t0
     note = "" if full else f"sampled {len(starts)} chains"
     return CheckResult(name, counterexample is None, seconds, counterexample, message=note)
@@ -359,8 +339,11 @@ def verify(
     Oracle (exhaustive partition) mode requires the poset size (n+1)**m to
     stay within `cap`; past the cap it is refused with a message and the
     remaining checks fall back to deterministic sampling.  Reports from
-    repeated runs are identical apart from timings.
+    repeated runs are identical apart from timings.  A `sample` below 1 is
+    refused, since sampled checks over no chains would pass unexamined.
     """
+    if sample < 1:
+        raise ValueError(f"sample must be at least 1, got {sample}")
     report = VerificationReport(shape)
     poset_size = shape.size
     profile = level_sizes(shape)

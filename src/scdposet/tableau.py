@@ -1,4 +1,4 @@
-"""Chain tableaux: grid construction and the chains they encode.
+"""Chain tableaux: the grids that encode chains, and the chains themselves.
 
 Each start vector alpha determines an m-by-n tableau built in three passes:
 
@@ -13,9 +13,11 @@ Adding the fillable cells to alpha one at a time, in numbering order, walks
 a saturated chain in the grid poset from alpha up to its complement-symmetric
 end point.  Those chains, over all start vectors, partition the poset.
 
-The greedy pass here is deliberately literal; the closed-form route to the
-same per-row forbidden counts lives in `starts.alpha_end`, and agreement of
-the two is part of the test suite.
+Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
+(`starts.alpha_end`, the closed form for the forbidden counts), so chains
+are built from e alone and never color a grid.  The greedy grid here is
+deliberately literal; it serves rendering and verify's cross-checks
+against the closed form, and the test suite holds the two to agreement.
 """
 
 from __future__ import annotations
@@ -101,11 +103,6 @@ class ChainTableau:
     def shape(self) -> GridShape:
         return self.alpha.shape
 
-    @property
-    def fill_count(self) -> int:
-        """Number of fillable cells, one less than the chain length."""
-        return sum(1 for row in self.cells for cell in row if isinstance(cell, Fillable))
-
 
 def build_tableau(alpha: StartVector) -> ChainTableau:
     """Color the grid of `alpha` by direct greedy simulation."""
@@ -138,21 +135,21 @@ class Chain:
 
 
 def chain_elements(alpha: StartVector) -> Chain:
-    """Materialize the chain of `alpha` by walking its tableau in fill order."""
+    """Materialize the chain of `alpha` by walking its end vector.
+
+    The walk is the tableau's fill order: the bottom row first, up to its
+    capacity n - alpha[i] - e[i], then the row above, and so on.
+    """
     shape = alpha.shape
-    cells = build_grid_cells(alpha.parts, shape.n)
-    fills: list[tuple[int, int]] = []  # (order, row index)
-    for i, row in enumerate(cells):
-        for cell in row:
-            if isinstance(cell, Fillable):
-                fills.append((cell.order, i))
-    fills.sort()
-    cur = list(alpha.parts)
-    elements = [Composition(shape, alpha.parts)]
-    for _, i in fills:
-        cur[i] += 1
-        elements.append(Composition(shape, tuple(cur)))
-    end = tuple(sum(1 for cell in row if isinstance(cell, Forbidden)) for row in cells)
+    parts = alpha.parts
+    n = shape.n
+    end = alpha_end_parts(parts, n)
+    cur = list(parts)
+    elements = [Composition(shape, parts)]
+    for i in range(len(parts) - 1, -1, -1):
+        for _ in range(n - parts[i] - end[i]):
+            cur[i] += 1
+            elements.append(Composition(shape, tuple(cur)))
     return Chain(alpha, end, tuple(elements))
 
 

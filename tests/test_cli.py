@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from scdposet import cli
@@ -66,6 +67,13 @@ class TestDecomposeCommand:
         chains = json.loads(out)
         assert [ch["elements"] for ch in chains] == [[[0, 0], [0, 1], [1, 1]], [[1, 0]]]
 
+    def test_output_bytes_pinned(self, capsys):
+        # stdout is a contract; the digest pins the exact JSONL bytes for N(4,3)
+        code, out, _ = run(capsys, "decompose", "-m", "4", "-n", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "1bb468229a8b8790b419c7b7ff17582e0b942b852f9cb4d3b471ed3a91ab9a62"
+
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "decompose", "-m", "2", "-n", "3")
         _, second, _ = run(capsys, "decompose", "-m", "2", "-n", "3")
@@ -84,6 +92,12 @@ class TestLocateCommand:
     def test_rejects_bad_vector(self, capsys):
         code, _, err = run(capsys, "locate", "--c", "1,2,", "-n", "7")
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_rejects_non_ascii_decimal_parts(self, capsys):
+        code, out, err = run(capsys, "locate", "--c", "1_0,+2, 3,\u0663", "-n", "10")
+        assert code == 1
+        assert out == ""
         assert err.startswith("error:")
 
 
@@ -124,6 +138,18 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "-m", "2", "-n", "2", "--oracle")
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+    def test_sample_zero_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: sample must be at least 1, got 0\n"
+
+    def test_negative_sample_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "-3")
+        assert code == 1
+        assert out == ""
+        assert err == "error: sample must be at least 1, got -3\n"
 
     def test_invalid_thread_env(self, capsys, monkeypatch):
         monkeypatch.setenv("SCD_THREADS", "-3")

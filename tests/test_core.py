@@ -63,6 +63,11 @@ class TestShapeAndComposition:
         with pytest.raises(ValueError):
             parse_parts("1,x,2")
 
+    @pytest.mark.parametrize("item", ["1_0", "+2", " 3", "3 ", "\u0663", "-1"])
+    def test_parse_accepts_ascii_decimal_digits_only(self, item):
+        with pytest.raises(ValueError):
+            parse_parts(f"1,{item},2")
+
     def test_format_parts(self):
         assert format_parts((0, 10, 3)) == "0,10,3"
 

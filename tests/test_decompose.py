@@ -4,7 +4,6 @@ from dataclasses import replace
 import json
 
 from scdposet import (
-    Decomposition,
     GridShape,
     chain_length_histogram,
     check_partition,
@@ -38,9 +37,9 @@ class TestDecompose:
         assert first == second
 
     def test_materialized_container(self):
-        dec = Decomposition.build(GridShape(2, 2))
-        assert len(dec) == 3
-        assert dec.total_elements == 9
+        chains = list(decompose(GridShape(2, 2)))
+        assert len(chains) == 3
+        assert sum(len(ch) for ch in chains) == 9
 
 
 class TestLevelSizes:
@@ -117,23 +116,21 @@ class TestVerify:
     def test_mutated_chain_fails_partition(self):
         # harness self-test: move one element between chains and the oracle
         # must name it
-        dec = Decomposition.build(GridShape(3, 2))
-        stolen = dec.chains[0].elements[1]
-        victim = dec.chains[1]
-        broken = replace(victim, elements=victim.elements[:-1] + (stolen,))
-        chains = list(dec.chains)
-        chains[1] = broken
-        result = check_partition(dec.shape, chains)
+        shape = GridShape(3, 2)
+        chains = list(decompose(shape))
+        stolen = chains[0].elements[1]
+        victim = chains[1]
+        chains[1] = replace(victim, elements=victim.elements[:-1] + (stolen,))
+        result = check_partition(shape, chains)
         assert not result.passed
         assert result.counterexample["element"] == list(stolen.parts)
 
     def test_dropped_element_fails_partition(self):
-        dec = Decomposition.build(GridShape(3, 2))
-        victim = dec.chains[0]
-        broken = replace(victim, elements=victim.elements[:-1])
-        chains = list(dec.chains)
-        chains[0] = broken
-        result = check_partition(dec.shape, chains)
+        shape = GridShape(3, 2)
+        chains = list(decompose(shape))
+        victim = chains[0]
+        chains[0] = replace(victim, elements=victim.elements[:-1])
+        result = check_partition(shape, chains)
         assert not result.passed
         assert result.counterexample["element"] == list(victim.elements[-1].parts)
 

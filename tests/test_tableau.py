@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from scdposet import (
@@ -5,6 +7,7 @@ from scdposet import (
     Fillable,
     Fixed,
     Forbidden,
+    GridShape,
     StartVector,
     TableauConstructionError,
     alpha_end_from_tableau,
@@ -12,6 +15,7 @@ from scdposet import (
     chain_contains,
     chain_elements,
     covers,
+    decompose,
     element_at,
     enumerate_starts,
     psi,
@@ -20,6 +24,7 @@ from scdposet import (
     star,
     strip_sources,
 )
+from scdposet import cli, tableau
 from scdposet.starts import alpha_end_parts
 from scdposet.tableau import build_grid_cells
 
@@ -94,6 +99,31 @@ class TestChainElements:
     def test_half_rank_start_gives_singleton(self):
         ch = chain_elements(StartVector.of((2, 0), 2))
         assert [el.parts for el in ch.elements] == [(2, 0)]
+
+    def test_matches_greedy_fill_order(self, small_shape):
+        # the literal grid's fill numbers, read in order, walk the same chain
+        for sv in enumerate_starts(small_shape):
+            cells = build_tableau(sv).cells
+            fills = sorted(
+                (cell.order, i) for i, row in enumerate(cells) for cell in row if isinstance(cell, Fillable)
+            )
+            cur = list(sv.parts)
+            expected = [tuple(cur)]
+            for _, i in fills:
+                cur[i] += 1
+                expected.append(tuple(cur))
+            assert [el.parts for el in chain_elements(sv).elements] == expected
+
+    def test_chain_path_never_builds_grid(self, monkeypatch, capsys):
+        def refuse(parts, n):
+            raise AssertionError(f"grid built for {parts}")
+
+        monkeypatch.setattr(tableau, "build_grid_cells", refuse)
+        assert [el.parts for el in chain_elements(SAMPLE_A).elements] == SAMPLE_A_CHAIN
+        chains = [[el.parts for el in ch.elements] for ch in decompose(GridShape(2, 1))]
+        assert chains == [[(0, 0), (0, 1), (1, 1)], [(1, 0)]]
+        assert cli.main(["chain", "--alpha", "1,3,2,0", "-n", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["elements"] == [list(p) for p in SAMPLE_B_CHAIN]
 
     def test_length_formula(self, small_shape):
         top = small_shape.top_rank
