@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .core import Composition, GridShape, ShapeMismatchError, format_parts, parse_parts
 from .decompose import (
     DEFAULT_CAP,
     SAMPLE_STARTS,
-    chain_length_histogram,
     decompose,
     level_sizes,
     verify,
@@ -50,7 +48,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("decompose", help="stream every chain of the grid")
     p.add_argument("-m", required=True, type=int)
     p.add_argument("-n", required=True, type=int)
-    p.add_argument("--format", choices=["jsonl", "json"], default="jsonl")
 
     p = sub.add_parser("locate", help="find the chain containing a composition")
     p.add_argument("--c", required=True, help="composition, comma-separated")
@@ -79,11 +76,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("stats", help="level sizes, chain count, chain length histogram")
     p.add_argument("-m", required=True, type=int)
     p.add_argument("-n", required=True, type=int)
-    p.add_argument(
-        "--enumerate",
-        action="store_true",
-        help="histogram by enumerating the starting set instead of rank-size differences",
-    )
 
     return parser
 
@@ -109,16 +101,6 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("SCD_THREADS", "").strip()
-    if raw:
-        workers = int(raw)
-        if workers < 1:
-            raise ValueError(f"SCD_THREADS must be a positive integer, got {raw!r}")
-        return workers
-    return os.cpu_count() or 1
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chain":
         _emit(_chain_payload(chain_elements(_start_vector(args.alpha, args.n))))
@@ -134,12 +116,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "decompose":
-        shape = GridShape(args.m, args.n)
-        if args.format == "json":
-            _emit([_chain_payload(ch) for ch in decompose(shape)])
-        else:
-            for ch in decompose(shape):
-                _emit(_chain_payload(ch))
+        for ch in decompose(GridShape(args.m, args.n)):
+            _emit(_chain_payload(ch))
         return 0
 
     if args.command == "locate":
@@ -178,13 +156,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "verify":
         shape = GridShape(args.m, args.n)
-        report = verify(
-            shape,
-            use_oracle=args.oracle,
-            cap=args.cap,
-            sample=args.sample,
-            workers=_workers_from_env(),
-        )
+        report = verify(shape, use_oracle=args.oracle, cap=args.cap, sample=args.sample)
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
         return 0 if report.passed else 2
 
@@ -209,7 +181,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "stats":
         shape = GridShape(args.m, args.n)
         profile = level_sizes(shape)
-        histogram = chain_length_histogram(shape) if args.enumerate else profile.length_counts()
         _emit(
             {
                 "m": shape.m,
@@ -217,7 +188,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "poset_size": shape.size,
                 "level_sizes": list(profile.sizes),
                 "chain_count": profile.middle,
-                "chain_length_histogram": {str(k): v for k, v in sorted(histogram.items(), reverse=True)},
+                "chain_length_histogram": {str(k): v for k, v in sorted(profile.length_counts().items(), reverse=True)},
             }
         )
         return 0

@@ -3,18 +3,18 @@
 `decompose` streams every chain of the grid without ever materializing the
 poset.  `verify` checks the decomposition's defining properties end to end,
 against an exhaustive membership oracle when the poset is small enough, and
-against deterministic samples otherwise.  Each check is independent per
-chain, so the per-chain passes can optionally fan out across processes.
+against deterministic samples otherwise.  The per-chain checks run in one
+pass over the starts, in one process: each start's chain and greedy grid are
+built once and read by every check.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, GridShape, covers, rank, star
@@ -22,8 +22,10 @@ from .locate import locate_parts
 from .starts import StartVector, alpha_end_parts, iter_start_parts, psi
 from .tableau import (
     Chain,
+    ChainTableau,
     alpha_end_from_tableau,
     build_tableau,
+    chain_contains,
     chain_elements,
     element_at,
     rotate_180,
@@ -33,13 +35,11 @@ from .tableau import (
 DEFAULT_CAP = 1_000_000
 
 # Sampled-mode budgets: how many starts to sample, how many chain positions
-# to probe per sampled chain, and the largest grid whose tableaux we still
-# build cell by cell.
+# to probe per sampled chain, and the largest grid for which the involution
+# check still colours psi(alpha)'s tableau cell by cell.
 SAMPLE_STARTS = 512
 POSITIONS_PER_CHAIN = 64
 SAMPLED_TABLEAU_CELLS = 65536
-
-_PARALLEL_MIN_STARTS = 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,14 +66,17 @@ class LevelProfile:
 
 
 def level_sizes(shape: GridShape) -> LevelProfile:
-    """Rank sizes by repeated convolution with the all-ones kernel of width n+1."""
+    """Rank sizes by repeated convolution with the all-ones kernel of width n+1.
+
+    Each convolution is a sliding window sum over prefix sums, so the cost is
+    O(m**2 * n) additions rather than O(m**2 * n**2).
+    """
+    n = shape.n
     sizes = [1]
     for _ in range(shape.m):
-        out = [0] * (len(sizes) + shape.n)
-        for k, v in enumerate(sizes):
-            for d in range(shape.n + 1):
-                out[k + d] += v
-        sizes = out
+        prefix = [0, *accumulate(sizes)]
+        last = len(sizes)
+        sizes = [prefix[min(k + 1, last)] - prefix[max(k - n, 0)] for k in range(last + n)]
     return LevelProfile(shape, tuple(sizes))
 
 
@@ -185,6 +188,17 @@ def _positions(k: int, limit: int) -> list[int]:
     return sorted({round(i * step) for i in range(limit)})
 
 
+@dataclass(frozen=True, slots=True)
+class _StartValue:
+    """One start's chain probe and greedy grid, built once and read by every check."""
+
+    sv: StartVector
+    full: bool
+    at: Callable[[int], Composition]
+    positions: Sequence[int]
+    tableau: ChainTableau
+
+
 def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], Composition], Sequence[int]]:
     """Element accessor and probe positions for the chain of `sv`.
 
@@ -194,73 +208,78 @@ def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], Composition], S
     if full:
         elements = chain_elements(sv).elements
         return elements.__getitem__, range(len(elements))
-    k_total = sv.shape.top_rank - 2 * sum(sv.parts)
-    return partial(element_at, sv), _positions(k_total, POSITIONS_PER_CHAIN)
+    return partial(element_at, sv), _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
 
 
-def _check_symmetric(sv: StartVector, full: bool) -> dict | None:
-    parts = sv.parts
-    lo = sum(parts)
-    hi = rank(element_at(sv, sv.shape.top_rank - 2 * lo))
-    if lo + hi != sv.shape.top_rank:
+def _check_symmetric(v: _StartValue) -> dict | None:
+    """The chain ends at the complementary rank, on an element no upper cover of
+    which stays on the chain.  Membership is decided by `locate_parts`, which
+    does not use the end-vector formula the chain is built from."""
+    parts, n = v.sv.parts, v.sv.shape.n
+    end = v.at(v.positions[-1])
+    located = locate_parts(end.parts, n)
+    if located != parts:
+        return {"alpha": list(parts), "end": list(end.parts), "located": list(located)}
+    for i, p in enumerate(end.parts):
+        if p < n:
+            up = end.parts[:i] + (p + 1,) + end.parts[i + 1 :]
+            if locate_parts(up, n) == parts:
+                return {"alpha": list(parts), "end": list(end.parts), "extends_to": list(up)}
+    lo, hi = sum(parts), rank(end)
+    if lo + hi != v.sv.shape.top_rank:
         return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
     return None
 
 
-def _check_saturated(sv: StartVector, full: bool) -> dict | None:
-    at, positions = _probe(sv, full)
-    for j in positions[:-1]:
-        a, b = at(j), at(j + 1)
+def _check_saturated(v: _StartValue) -> dict | None:
+    for j in v.positions[:-1]:
+        a, b = v.at(j), v.at(j + 1)
         if not covers(a, b):
-            return {"alpha": list(sv.parts), "low": list(a.parts), "high": list(b.parts)}
+            return {"alpha": list(v.sv.parts), "low": list(a.parts), "high": list(b.parts)}
     return None
 
 
-def _check_disjoint(sv: StartVector, full: bool) -> dict | None:
-    at, positions = _probe(sv, full)
-    for j in positions:
-        el = at(j)
-        back = locate_parts(el.parts, sv.shape.n)
-        if back != sv.parts:
-            return {"alpha": list(sv.parts), "element": list(el.parts), "located": list(back)}
+def _check_disjoint(v: _StartValue) -> dict | None:
+    for j in v.positions:
+        el = v.at(j)
+        back = locate_parts(el.parts, v.sv.shape.n)
+        if back != v.sv.parts:
+            return {"alpha": list(v.sv.parts), "element": list(el.parts), "located": list(back)}
     return None
 
 
-def _check_involution(sv: StartVector, full: bool) -> dict | None:
-    parts = sv.parts
-    image = psi(sv)
+def _check_involution(v: _StartValue) -> dict | None:
+    parts = v.sv.parts
+    image = psi(v.sv)
     again = psi(image)
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
-    if alpha_end_parts(image.parts, sv.shape.n) != tuple(reversed(parts)):
+    if alpha_end_parts(image.parts, v.sv.shape.n) != tuple(reversed(parts)):
         return {"alpha": list(parts), "psi": list(image.parts), "reason": "end vector is not the reverse"}
-    if full or sv.shape.top_rank <= SAMPLED_TABLEAU_CELLS:
-        rotated = rotate_180(build_tableau(sv))
-        direct = strip_sources(build_tableau(image).cells)
-        if rotated != direct:
+    if v.full or v.sv.shape.top_rank <= SAMPLED_TABLEAU_CELLS:
+        if rotate_180(v.tableau) != strip_sources(build_tableau(image).cells):
             return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
-    at, positions = _probe(sv, full)
-    image_at, image_positions = _probe(image, full)
-    if image_positions != positions:
+    image_at, image_positions = _probe(image, v.full)
+    if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(image.parts), "reason": "chain is not the reversed star"}
-    last = positions[-1]
-    for j in positions:
-        if image_at(j).parts != star(at(last - j)).parts:
+    last = v.positions[-1]
+    for j in v.positions:
+        if image_at(j).parts != star(v.at(last - j)).parts:
             return {"alpha": list(parts), "psi": list(image.parts), "reason": f"chain mismatch at position {j}"}
     return None
 
 
-def _check_corollary(sv: StartVector, full: bool) -> dict | None:
-    fast = alpha_end_parts(sv.parts, sv.shape.n)
-    slow = alpha_end_from_tableau(build_tableau(sv))
+def _check_corollary(v: _StartValue) -> dict | None:
+    fast = alpha_end_parts(v.sv.parts, v.sv.shape.n)
+    slow = alpha_end_from_tableau(v.tableau)
     if fast != slow:
-        return {"alpha": list(sv.parts), "formula": list(fast), "simulation": list(slow)}
+        return {"alpha": list(v.sv.parts), "formula": list(fast), "simulation": list(slow)}
     return None
 
 
 # Per-chain checks in report order.  Each returns the first violation for one
-# start vector, or None; `full` probes every chain position, not a sample.
-_CHAIN_CHECKS: dict[str, Callable[[StartVector, bool], dict | None]] = {
+# start's value, or None.
+_CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
     "symmetric": _check_symmetric,
     "saturated": _check_saturated,
     "disjoint": _check_disjoint,
@@ -268,48 +287,36 @@ _CHAIN_CHECKS: dict[str, Callable[[StartVector, bool], dict | None]] = {
     "corollary-vs-simulation": _check_corollary,
 }
 
-PER_CHAIN_CHECKS = tuple(_CHAIN_CHECKS)
 
+def _run_chain_checks(shape: GridShape, starts: list[tuple[int, ...]], full: bool) -> list[CheckResult]:
+    """One pass over `starts`, running every per-chain check on each start's value.
 
-def _first_violation(shape: GridShape, name: str, starts: Iterable[tuple[int, ...]], full: bool) -> dict | None:
-    check = _CHAIN_CHECKS[name]
+    A check stops at its first counterexample in start order.  Each start's
+    value is charged to the first check still running, so the checks'
+    seconds add up to the wall time of the pass.
+    """
+    seconds = dict.fromkeys(_CHAIN_CHECKS, 0.0)
+    found: dict[str, dict] = {}
+    clock = time.perf_counter
     for parts in starts:
-        bad = check(StartVector(Composition(shape, parts)), full)
-        if bad is not None:
-            return bad
-    return None
-
-
-def _chunk_task(args: tuple[int, int, str, bool, list[tuple[int, ...]]]) -> dict | None:
-    m, n, name, full, chunk = args
-    return _first_violation(GridShape(m, n), name, chunk, full)
-
-
-def _run_per_chain_check(
-    shape: GridShape,
-    name: str,
-    starts: list[tuple[int, ...]],
-    full: bool,
-    workers: int,
-) -> CheckResult:
-    t0 = time.perf_counter()
-    counterexample: dict | None = None
-    if workers > 1 and len(starts) >= _PARALLEL_MIN_STARTS:
-        chunk_size = max(1, len(starts) // (workers * 4))
-        tasks = [
-            (shape.m, shape.n, name, full, starts[i : i + chunk_size])
-            for i in range(0, len(starts), chunk_size)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            for bad in ex.map(_chunk_task, tasks):
-                if bad is not None:
-                    counterexample = bad
-                    break
-    else:
-        counterexample = _first_violation(shape, name, starts, full)
-    seconds = time.perf_counter() - t0
+        running = [name for name in _CHAIN_CHECKS if name not in found]
+        if not running:
+            break
+        t0 = clock()
+        sv = StartVector(Composition(shape, parts))
+        value = _StartValue(sv, full, *_probe(sv, full), build_tableau(sv))
+        for name in running:
+            bad = _CHAIN_CHECKS[name](value)
+            t1 = clock()
+            seconds[name] += t1 - t0
+            t0 = t1
+            if bad is not None:
+                found[name] = bad
     note = "" if full else f"sampled {len(starts)} chains"
-    return CheckResult(name, counterexample is None, seconds, counterexample, message=note)
+    return [
+        CheckResult(name, name not in found, seconds[name], found.get(name), message=note)
+        for name in _CHAIN_CHECKS
+    ]
 
 
 def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | None:
@@ -317,12 +324,10 @@ def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | Non
     rng = random.Random(seed)
     n = shape.n
     for _ in range(count):
-        cparts = tuple(rng.randint(0, n) for _ in range(shape.m))
-        aparts = locate_parts(cparts, n)
-        sv = StartVector(Composition(shape, aparts))
-        j = sum(cparts) - sum(aparts)
-        if j < 0 or j > shape.top_rank - 2 * sum(aparts) or element_at(sv, j).parts != cparts:
-            return {"element": list(cparts), "located": list(aparts)}
+        c = Composition(shape, tuple(rng.randint(0, n) for _ in range(shape.m)))
+        aparts = locate_parts(c.parts, n)
+        if not chain_contains(StartVector(Composition(shape, aparts)), c):
+            return {"element": list(c.parts), "located": list(aparts)}
     return None
 
 
@@ -332,7 +337,6 @@ def verify(
     *,
     cap: int = DEFAULT_CAP,
     sample: int = SAMPLE_STARTS,
-    workers: int = 1,
 ) -> VerificationReport:
     """Run the full verification battery and collect a report.
 
@@ -373,9 +377,8 @@ def verify(
     else:
         starts = list(islice(iter_start_parts(shape), sample))
 
-    for name in PER_CHAIN_CHECKS:
-        result = _run_per_chain_check(shape, name, starts, full, workers)
-        if name == "disjoint" and result.passed and not full:
+    for result in _run_chain_checks(shape, starts, full):
+        if result.name == "disjoint" and result.passed and not full:
             t0 = time.perf_counter()
             bad = _random_roundtrip(shape, sample)
             result.seconds += time.perf_counter() - t0

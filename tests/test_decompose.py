@@ -1,8 +1,10 @@
+import importlib
+import json
 from collections import Counter
 from dataclasses import replace
+from math import comb
 
-import json
-
+import scdposet.tableau
 from scdposet import (
     GridShape,
     chain_length_histogram,
@@ -54,6 +56,16 @@ class TestLevelSizes:
 
     def test_matches_brute_count(self, small_shape):
         assert level_sizes(small_shape).sizes == brute_level_sizes(small_shape.m, small_shape.n)
+
+    def test_matches_inclusion_exclusion_at_large_n(self):
+        # compositions of k into m parts of at most n, by inclusion-exclusion
+        # over the parts forced above n
+        m, n = 12, 50
+        expected = tuple(
+            sum((-1) ** j * comb(m, j) * comb(k - j * (n + 1) + m - 1, m - 1) for j in range(k // (n + 1) + 1))
+            for k in range(m * n + 1)
+        )
+        assert level_sizes(GridShape(m, n)).sizes == expected
 
     def test_symmetric_unimodal_and_total(self, small_shape):
         sizes = level_sizes(small_shape).sizes
@@ -161,11 +173,42 @@ class TestVerify:
             del check["seconds"]
         assert a == b
 
-    def test_parallel_matches_sequential(self):
-        # (5,4) has 381 starts, past the threshold that engages the pool
-        shape = GridShape(5, 4)
-        seq = verify(shape, use_oracle=True, workers=1).to_dict()
-        par = verify(shape, use_oracle=True, workers=2).to_dict()
-        for check in seq["checks"] + par["checks"]:
-            del check["seconds"]
-        assert seq == par
+    def test_full_mode_builds_each_chain_and_grid_once_per_use(self, monkeypatch):
+        # one value per start: its chain and grid, plus the partition oracle's
+        # chain and the psi image's chain and grid
+        module = importlib.import_module("scdposet.decompose")
+        built = Counter()
+
+        def counting(name):
+            fn = getattr(module, name)
+
+            def wrapper(sv):
+                built[name] += 1
+                return fn(sv)
+
+            return wrapper
+
+        for name in ("chain_elements", "build_tableau"):
+            monkeypatch.setattr(module, name, counting(name))
+        report = verify(GridShape(4, 4))
+        assert report.passed
+        starts = report.chain_count
+        assert starts == 85
+        assert built["chain_elements"] <= 3 * starts
+        assert built["build_tableau"] <= 2 * starts
+
+    def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
+        # same sum, one forbidden cell moved from row m to row m-1: the chain
+        # still ends at the complementary rank, but not where locate says
+        original = scdposet.tableau.alpha_end_parts
+
+        def shifted(parts, n):
+            end = list(original(parts, n))
+            if end[-1] > 0 and parts[-2] + end[-2] < n:
+                end[-1] -= 1
+                end[-2] += 1
+            return tuple(end)
+
+        monkeypatch.setattr(scdposet.tableau, "alpha_end_parts", shifted)
+        report = verify(GridShape(3, 3))
+        assert not report.check("symmetric").passed
