@@ -43,7 +43,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("starts", help="stream the starting set, one vector per line")
     p.add_argument("-m", required=True, type=int)
     p.add_argument("-n", required=True, type=int)
-    p.add_argument("--format", choices=["text", "jsonl"], default="text")
 
     p = sub.add_parser("decompose", help="stream every chain of the grid")
     p.add_argument("-m", required=True, type=int)
@@ -68,10 +67,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", required=True)
     p.add_argument("-n", required=True, type=int)
     p.add_argument("--format", choices=["ascii", "svg", "json"], default="ascii")
-    p.add_argument("--fixed-glyph", default="G")
-    p.add_argument("--forbidden-glyph", default="X")
-    p.add_argument("--fixed-color", default=None)
-    p.add_argument("--forbidden-color", default=None)
 
     p = sub.add_parser("stats", help="level sizes, chain count, chain length histogram")
     p.add_argument("-m", required=True, type=int)
@@ -109,10 +104,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "starts":
         shape = GridShape(args.m, args.n)
         for parts in iter_start_parts(shape):
-            if args.format == "jsonl":
-                _emit(list(parts))
-            else:
-                sys.stdout.write(format_parts(parts) + "\n")
+            sys.stdout.write(format_parts(parts) + "\n")
         return 0
 
     if args.command == "decompose":
@@ -166,16 +158,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.format == "json":
             _emit(tableau_payload(t))
         elif args.format == "svg":
-            kwargs = {}
-            if args.fixed_color:
-                kwargs["fixed_color"] = args.fixed_color
-            if args.forbidden_color:
-                kwargs["forbidden_color"] = args.forbidden_color
-            sys.stdout.write(render_svg(t, **kwargs) + "\n")
+            sys.stdout.write(render_svg(t) + "\n")
         else:
-            sys.stdout.write(
-                render_ascii(t, fixed_glyph=args.fixed_glyph, forbidden_glyph=args.forbidden_glyph) + "\n"
-            )
+            sys.stdout.write(render_ascii(t) + "\n")
         return 0
 
     if args.command == "stats":

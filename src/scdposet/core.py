@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Shapes with more cells than this are rejected at construction; ranks and
-# cell counts then always fit comfortably in machine integers.
+# Shapes with more cells than this are refused at construction, so an absurd
+# -m/-n fails at once instead of starting work no run could finish.  Python
+# ints need no such bound; this is a sanity limit, not an overflow guard.
 MAX_CELLS = 2**31
 
 
@@ -63,17 +64,6 @@ class Composition:
         """Build a composition from any iterable of parts, inferring m."""
         t = tuple(int(p) for p in parts)
         return cls(GridShape(len(t), n), t)
-
-    @classmethod
-    def from_text(cls, text: str, n: int) -> "Composition":
-        """Parse the comma-separated text form, e.g. "2,0,5,0"."""
-        return cls.of(parse_parts(text), n)
-
-    def to_text(self) -> str:
-        return format_parts(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
 
 
 def parse_parts(text: str) -> tuple[int, ...]:

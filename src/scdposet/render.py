@@ -14,20 +14,19 @@ from .tableau import Cells, ChainTableau, Fillable, Fixed, Forbidden
 FIXED_GLYPH = "G"
 FORBIDDEN_GLYPH = "X"
 
+CELL_SIZE = 28
 FIXED_COLOR = "#7bc043"
 FORBIDDEN_COLOR = "#bdbdbd"
 FILLABLE_COLOR = "#ffffff"
 
 
-def render_ascii(t: ChainTableau, fixed_glyph: str = FIXED_GLYPH, forbidden_glyph: str = FORBIDDEN_GLYPH) -> str:
+def render_ascii(t: ChainTableau) -> str:
     """Render a tableau as a header line plus m rows of 3-wide cells.
 
-    Fixed cells show the fixed glyph, forbidden cells the forbidden glyph,
-    fillable cells their fill number; every cell is right-aligned to width 3
-    and cells are separated by single spaces.
+    Fixed cells show `G`, forbidden cells `X`, fillable cells their fill
+    number; every cell is right-aligned to width 3 and cells are separated
+    by single spaces.
     """
-    if len(fixed_glyph) != 1 or len(forbidden_glyph) != 1 or fixed_glyph == forbidden_glyph:
-        raise ValueError("glyphs must be two distinct single characters")
     parts = t.alpha.parts
     header = f"alpha={format_parts(parts)} alphaE={format_parts(alpha_end_parts(parts, t.shape.n))}"
     lines = [header]
@@ -35,18 +34,16 @@ def render_ascii(t: ChainTableau, fixed_glyph: str = FIXED_GLYPH, forbidden_glyp
         toks = []
         for cell in row:
             if isinstance(cell, Fixed):
-                toks.append(f"{fixed_glyph:>3}")
+                toks.append(f"{FIXED_GLYPH:>3}")
             elif isinstance(cell, Forbidden):
-                toks.append(f"{forbidden_glyph:>3}")
+                toks.append(f"{FORBIDDEN_GLYPH:>3}")
             else:
                 toks.append(f"{cell.order:>3}")
         lines.append(" ".join(toks))
     return "\n".join(lines)
 
 
-def parse_ascii(
-    text: str, fixed_glyph: str = FIXED_GLYPH, forbidden_glyph: str = FORBIDDEN_GLYPH
-) -> tuple[tuple[int, ...], Cells]:
+def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     """Parse render_ascii output back into (alpha parts, cell grid).
 
     Forbidden cells come back without their source row; everything else is
@@ -61,9 +58,9 @@ def parse_ascii(
     for line in lines[1:]:
         row: list = []
         for tok in line.split():
-            if tok == fixed_glyph:
+            if tok == FIXED_GLYPH:
                 row.append(Fixed())
-            elif tok == forbidden_glyph:
+            elif tok == FORBIDDEN_GLYPH:
                 row.append(Forbidden())
             else:
                 row.append(Fillable(int(tok)))
@@ -93,16 +90,10 @@ def tableau_payload(t: ChainTableau) -> dict:
     }
 
 
-def render_svg(
-    t: ChainTableau,
-    cell_size: int = 28,
-    fixed_color: str = FIXED_COLOR,
-    forbidden_color: str = FORBIDDEN_COLOR,
-    fillable_color: str = FILLABLE_COLOR,
-) -> str:
+def render_svg(t: ChainTableau) -> str:
     """Render a tableau as a standalone SVG grid with numbered fillable cells."""
     m, n = t.shape.m, t.shape.n
-    s = cell_size
+    s = CELL_SIZE
     width, height = n * s + 2, m * s + 2
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -112,11 +103,11 @@ def render_svg(
         for j, cell in enumerate(row):
             x, y = j * s + 1, i * s + 1
             if isinstance(cell, Fixed):
-                color = fixed_color
+                color = FIXED_COLOR
             elif isinstance(cell, Forbidden):
-                color = forbidden_color
+                color = FORBIDDEN_COLOR
             else:
-                color = fillable_color
+                color = FILLABLE_COLOR
             out.append(
                 f'<rect x="{x}" y="{y}" width="{s}" height="{s}" '
                 f'fill="{color}" stroke="#333333" stroke-width="1"/>'

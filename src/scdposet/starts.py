@@ -174,9 +174,3 @@ def iter_start_parts(shape: GridShape) -> Iterator[tuple[int, ...]]:
                 yield from descend(t + 1, prefix + v, min(g, (m - t) * n + v + 2 * prefix))
 
     yield from descend(1, 0, no_bound)
-
-
-def enumerate_starts(shape: GridShape) -> Iterator[StartVector]:
-    """Yield every start vector of the grid exactly once, lexicographically."""
-    for parts in iter_start_parts(shape):
-        yield StartVector(Composition(shape, parts))

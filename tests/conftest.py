@@ -76,6 +76,29 @@ def brute_level_sizes(m, n):
     return tuple(sizes)
 
 
+def dbtk_chains(m, n):
+    """The de Bruijn-Tengbergen-Kruyswijk (1951) symmetric chain decomposition
+    of [n+1]**m, as lists of part tuples in increasing rank.
+
+    Induction on m: each chain x_0 < ... < x_k of [n+1]**(m-1), crossed with
+    0..n, is a (k+1) by (n+1) grid, cut into the hooks j = 0..min(k, n):
+    x_j extended by 0, 1, ..., n-j, then x_{j+1}, ..., x_k extended by n-j.
+    Hook j runs from rank r + j to rank r + k + n - j, where r is the rank of
+    x_0, so it stays symmetric about the middle rank of the whole grid.
+    """
+    chains = [[(y,) for y in range(n + 1)]]
+    for _ in range(m - 1):
+        grown = []
+        for x in chains:
+            k = len(x) - 1
+            for j in range(min(k, n) + 1):
+                hook = [x[j] + (y,) for y in range(n - j + 1)]
+                hook += [x[i] + (n - j,) for i in range(j + 1, k + 1)]
+                grown.append(hook)
+        chains = grown
+    return chains
+
+
 @pytest.fixture(params=SMALL_SHAPES, ids=lambda mn: f"{mn[0]}x{mn[1]}")
 def small_shape(request):
     m, n = request.param

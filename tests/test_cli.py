@@ -1,9 +1,13 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import scdposet
 from scdposet import cli
@@ -49,11 +53,6 @@ class TestStartsCommand:
         code, out, _ = run(capsys, "starts", "-m", "3", "-n", "2")
         assert code == 0
         assert out.splitlines() == ["0,0,0", "0,1,0", "0,2,0", "1,0,0", "1,1,0", "2,0,0", "2,1,0"]
-
-    def test_jsonl_stream(self, capsys):
-        code, out, _ = run(capsys, "starts", "-m", "2", "-n", "1", "--format", "jsonl")
-        assert code == 0
-        assert [json.loads(line) for line in out.splitlines()] == [[0, 0], [1, 0]]
 
 
 class TestDecomposeCommand:
@@ -204,11 +203,10 @@ class TestRenderCommand:
         assert lines[4] == "  1   X   X   X"
 
     def test_svg(self, capsys):
-        code, out, _ = run(capsys, "render", "--alpha", "1,0", "-n", "2", "--format", "svg",
-                           "--fixed-color", "#0f0f0f")
+        code, out, _ = run(capsys, "render", "--alpha", "1,0", "-n", "2", "--format", "svg")
         assert code == 0
         assert out.startswith("<svg")
-        assert "#0f0f0f" in out
+        assert 'fill="#7bc043"' in out
 
     def test_json(self, capsys):
         code, out, _ = run(capsys, "render", "--alpha", "1,3,2,0", "-n", "4", "--format", "json")
@@ -247,6 +245,37 @@ class TestArgumentErrors:
         code, _, err = run(capsys, "stats", "-m", "100000", "-n", "100000")
         assert code == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["render", "--alpha", "1,0", "-n", "2", "--fixed-glyph", "1"],
+            ["render", "--alpha", "1,0", "-n", "2", "--forbidden-glyph", " "],
+            ["render", "--alpha", "1,0", "-n", "2", "--format", "svg", "--fixed-color", '"/><script>x</script>'],
+            ["render", "--alpha", "1,0", "-n", "2", "--format", "svg", "--forbidden-color", "#000000"],
+            ["starts", "-m", "2", "-n", "1", "--format", "jsonl"],
+        ],
+    )
+    def test_removed_style_options_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+
+
+def test_readme_commands_run(capsys):
+    # the README must not advertise a command or flag the CLI refuses
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("scdposet ")
+    ]
+    assert commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (argv, err)
 
 
 def test_import_loads_no_process_machinery():

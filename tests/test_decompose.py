@@ -14,7 +14,7 @@ from scdposet import (
     verify,
 )
 
-from conftest import brute_level_sizes
+from conftest import all_parts, brute_level_sizes, dbtk_chains
 
 
 class TestDecompose:
@@ -212,3 +212,37 @@ class TestVerify:
         monkeypatch.setattr(scdposet.tableau, "alpha_end_parts", shifted)
         report = verify(GridShape(3, 3))
         assert not report.check("symmetric").passed
+
+    def test_sampled_large_grid_colours_no_grid(self, monkeypatch):
+        # m*n past SAMPLED_TABLEAU_CELLS: no greedy grid is built, and the one
+        # check that reads nothing else says it was skipped
+        module = importlib.import_module("scdposet.decompose")
+
+        def refuse(sv):
+            raise AssertionError(f"grid built for {sv.parts}")
+
+        monkeypatch.setattr(module, "build_tableau", refuse)
+        report = verify(GridShape(2, 200000), sample=1)
+        assert report.passed
+        corollary = report.check("corollary-vs-simulation")
+        assert corollary.skipped
+        assert "exceeds 65536" in corollary.message
+        assert not report.check("involution").skipped
+
+
+class TestAgainstDeBruijnTengbergenKruyswijk:
+    def test_same_chain_count_and_length_histogram(self, small_shape):
+        m, n = small_shape.m, small_shape.n
+        classical = dbtk_chains(m, n)
+        lengths = Counter(len(ch) for ch in decompose(small_shape))
+        assert Counter(len(ch) for ch in classical) == lengths
+        assert len(classical) == sum(lengths.values()) == brute_level_sizes(m, n)[m * n // 2]
+
+    def test_oracle_is_a_symmetric_chain_decomposition(self, small_shape):
+        m, n = small_shape.m, small_shape.n
+        classical = dbtk_chains(m, n)
+        assert sorted(el for ch in classical for el in ch) == list(all_parts(m, n))
+        for ch in classical:
+            assert sum(ch[0]) + sum(ch[-1]) == m * n
+            for low, high in zip(ch, ch[1:]):
+                assert sorted(h - l for l, h in zip(low, high)) == [0] * (m - 1) + [1]

@@ -1,4 +1,4 @@
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scdposet import (
@@ -9,14 +9,28 @@ from scdposet import (
     chain_contains,
     chain_elements,
     decompose,
+    element_at,
     is_start,
     locate,
     locate_parts,
+    psi,
     rank,
 )
 from scdposet.starts import iter_start_parts
 
 from conftest import all_parts
+
+# Grids far too large to enumerate, where every operation below is O(m).  Half
+# the vectors take only the parts 0, 1, n-1 and n, so that the block sums of
+# `locate` often tie.
+large_compositions = st.integers(1, 200).flatmap(
+    lambda m: st.integers(1, 10**6).flatmap(
+        lambda n: st.one_of(
+            st.lists(st.integers(0, n), min_size=m, max_size=m),
+            st.lists(st.sampled_from([0, 1, n - 1, n]), min_size=m, max_size=m),
+        ).map(lambda parts: Composition.of(parts, n))
+    )
+)
 
 
 class TestLocate:
@@ -110,3 +124,15 @@ class TestAgainstDecomposition:
         for ch in decompose(shape):
             for el in ch.elements:
                 assert locate(el).parts == ch.alpha.parts
+
+
+class TestLargeGrids:
+    @settings(max_examples=50, deadline=None)
+    @given(large_compositions)
+    def test_locate_element_at_and_psi(self, c):
+        # is_start(locate(c)), element_at(locate(c), rank(c) - rank(locate(c))) == c,
+        # and psi(psi(a)) == a, checked on one drawn composition
+        assert is_start(Composition(c.shape, locate_parts(c.parts, c.shape.n)))
+        sv = locate(c)
+        assert element_at(sv, rank(c) - rank(sv.alpha)) == c
+        assert psi(psi(sv)) == sv

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from scdposet import (
     StartVector,
     build_tableau,
-    enumerate_starts,
     locate,
     parse_ascii,
     render_ascii,
@@ -14,6 +13,7 @@ from scdposet import (
     tableau_payload,
 )
 from scdposet.core import Composition
+from scdposet.starts import iter_start_parts
 
 
 class TestRenderAscii:
@@ -36,26 +36,12 @@ class TestRenderAscii:
         ]
 
     def test_round_trip(self, small_shape):
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             t = build_tableau(sv)
             alpha, cells = parse_ascii(render_ascii(t))
             assert alpha == sv.parts
             assert cells == strip_sources(t.cells)
-
-    def test_custom_glyphs_round_trip(self):
-        t = build_tableau(StartVector.of((2, 0, 5, 0), 6))
-        text = render_ascii(t, fixed_glyph="F", forbidden_glyph="#")
-        assert "F" in text and "#" in text and "G" not in text
-        alpha, cells = parse_ascii(text, fixed_glyph="F", forbidden_glyph="#")
-        assert alpha == (2, 0, 5, 0)
-        assert cells == strip_sources(t.cells)
-
-    def test_glyph_validation(self):
-        t = build_tableau(StartVector.of((0, 0), 1))
-        with pytest.raises(ValueError):
-            render_ascii(t, fixed_glyph="GG")
-        with pytest.raises(ValueError):
-            render_ascii(t, fixed_glyph="X", forbidden_glyph="X")
 
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ValueError):
@@ -97,8 +83,3 @@ class TestRenderSvg:
         assert svg.count("<rect") == 16
         # four fillable cells get their numbers drawn
         assert svg.count("<text") == 4
-
-    def test_colors_configurable(self):
-        t = build_tableau(StartVector.of((1, 0), 2))
-        svg = render_svg(t, fixed_color="#123456", forbidden_color="#654321")
-        assert "#123456" in svg

@@ -17,7 +17,6 @@ from scdposet import (
     covers,
     decompose,
     element_at,
-    enumerate_starts,
     psi,
     rank,
     rotate_180,
@@ -25,7 +24,7 @@ from scdposet import (
     strip_sources,
 )
 from scdposet import cli, tableau
-from scdposet.starts import alpha_end_parts
+from scdposet.starts import alpha_end_parts, iter_start_parts
 from scdposet.tableau import build_grid_cells
 
 SAMPLE_A = StartVector.of((2, 0, 5, 0), 6)
@@ -53,7 +52,8 @@ class TestBuildTableau:
 
     def test_fixed_cells_are_leftmost(self, small_shape):
         n = small_shape.n
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             t = build_tableau(sv)
             for i, row in enumerate(t.cells):
                 a = sv.parts[i]
@@ -62,13 +62,15 @@ class TestBuildTableau:
 
     def test_fill_orders_are_a_permutation(self, small_shape):
         top = small_shape.top_rank
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             t = build_tableau(sv)
             orders = sorted(cell.order for row in t.cells for cell in row if isinstance(cell, Fillable))
             assert orders == list(range(1, top - 2 * sum(sv.parts) + 1))
 
     def test_forbidden_sources_lie_below_their_row(self, small_shape):
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             t = build_tableau(sv)
             counts = [0] * small_shape.m
             for i, row in enumerate(t.cells):
@@ -102,7 +104,8 @@ class TestChainElements:
 
     def test_matches_greedy_fill_order(self, small_shape):
         # the literal grid's fill numbers, read in order, walk the same chain
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             cells = build_tableau(sv).cells
             fills = sorted(
                 (cell.order, i) for i, row in enumerate(cells) for cell in row if isinstance(cell, Fillable)
@@ -127,12 +130,14 @@ class TestChainElements:
 
     def test_length_formula(self, small_shape):
         top = small_shape.top_rank
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             assert len(chain_elements(sv)) == top - 2 * sum(sv.parts) + 1
 
     def test_saturated_and_symmetric(self, small_shape):
         top = small_shape.top_rank
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             ch = chain_elements(sv)
             assert rank(ch.start) + rank(ch.end) == top
             for a, b in zip(ch.elements, ch.elements[1:]):
@@ -140,7 +145,8 @@ class TestChainElements:
 
     def test_end_point_from_alpha_end(self, small_shape):
         n = small_shape.n
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             ch = chain_elements(sv)
             assert ch.end.parts == tuple(n - e for e in ch.alpha_end)
 
@@ -149,7 +155,8 @@ class TestChainElements:
         # capacity there, and at full capacity below it, where full rows are
         # saturated against the forbidden counts
         n = small_shape.n
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             end = alpha_end_parts(sv.parts, n)
             caps = [n - a - e for a, e in zip(sv.parts, end)]
             for el in chain_elements(sv).elements:
@@ -182,7 +189,8 @@ class TestElementAt:
             element_at(SAMPLE_B, -1)
 
     def test_agrees_with_materialized_chain(self, small_shape):
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             ch = chain_elements(sv)
             for j, el in enumerate(ch.elements):
                 assert element_at(sv, j).parts == el.parts
@@ -203,12 +211,14 @@ class TestRotation:
         assert rotate_180(rotate_180(t)) == strip_sources(t.cells)
 
     def test_rotation_matches_psi_everywhere(self, small_shape):
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             rotated = rotate_180(build_tableau(sv))
             assert rotated == strip_sources(build_tableau(psi(sv)).cells)
 
     def test_image_chain_is_reversed_star(self, small_shape):
-        for sv in enumerate_starts(small_shape):
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, small_shape.n)
             fwd = chain_elements(sv).elements
             bwd = chain_elements(psi(sv)).elements
             assert len(fwd) == len(bwd)
