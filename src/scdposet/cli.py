@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .core import Composition, GridShape, ShapeMismatchError, format_parts, parse_parts
+from .core import Composition, GridShape, format_parts, parse_parts
 from .decompose import (
     DEFAULT_CAP,
     SAMPLE_STARTS,
@@ -21,7 +21,7 @@ from .decompose import (
 )
 from .locate import certificate
 from .render import render_ascii, render_svg, tableau_payload
-from .starts import NotStartVectorError, StartVector, alpha_end, iter_start_parts, psi
+from .starts import StartVector, alpha_end, iter_start_parts, psi
 from .tableau import Chain, build_tableau, chain_elements
 
 
@@ -85,9 +85,9 @@ def _chain_payload(ch: Chain) -> dict:
         "n": ch.alpha.shape.n,
         "alpha": list(ch.alpha.parts),
         "alpha_end": list(ch.alpha_end),
-        "start": list(ch.start.parts),
-        "end": list(ch.end.parts),
-        "elements": [list(el.parts) for el in ch.elements],
+        "start": list(ch.elements[0]),
+        "end": list(ch.elements[-1]),
+        "elements": [list(el) for el in ch.elements],
     }
 
 
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 0 if code is None else 1
     except BrokenPipeError:
         return 0
-    except (ValueError, NotStartVectorError, ShapeMismatchError, IndexError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

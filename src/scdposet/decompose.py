@@ -160,15 +160,15 @@ def check_partition(shape: GridShape, chains: Iterable[Chain]) -> CheckResult:
     for ch in chains:
         aparts = ch.alpha.parts
         for el in ch.elements:
-            prev = index.get(el.parts)
+            prev = index.get(el)
             if prev is not None:
                 return CheckResult(
                     "partition",
                     False,
                     time.perf_counter() - t0,
-                    {"element": list(el.parts), "chains": [list(prev), list(aparts)]},
+                    {"element": list(el), "chains": [list(prev), list(aparts)]},
                 )
-            index[el.parts] = aparts
+            index[el] = aparts
     for parts in product(range(shape.n + 1), repeat=shape.m):
         if parts not in index:
             return CheckResult(
@@ -205,11 +205,12 @@ class _StartValue:
 def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], Composition], Sequence[int]]:
     """Element accessor and probe positions for the chain of `sv`.
 
-    Full mode materializes the chain and probes every position; sampled mode
-    probes a bounded set of positions by O(m) random access.
+    Full mode materializes the chain, wrapping each element in a validated
+    `Composition` once, and probes every position; sampled mode probes a
+    bounded set of positions by O(m) random access.
     """
     if full:
-        elements = chain_elements(sv).elements
+        elements = [Composition(sv.shape, el) for el in chain_elements(sv).elements]
         return elements.__getitem__, range(len(elements))
     return partial(element_at, sv), _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
 
@@ -257,8 +258,6 @@ def _check_involution(v: _StartValue) -> dict | None:
     again = psi(image)
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
-    if alpha_end_parts(image.parts, v.sv.shape.n) != tuple(reversed(parts)):
-        return {"alpha": list(parts), "psi": list(image.parts), "reason": "end vector is not the reverse"}
     if v.tableau is not None:
         if rotate_180(v.tableau) != strip_sources(build_tableau(image).cells):
             return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
@@ -354,10 +353,13 @@ def verify(
     stay within `cap`; past the cap it is refused with a message and the
     remaining checks fall back to deterministic sampling.  Reports from
     repeated runs are identical apart from timings.  A `sample` below 1 is
-    refused, since sampled checks over no chains would pass unexamined.
+    refused, since sampled checks over no chains would pass unexamined, and
+    so is a `cap` below 0.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
+    if cap < 0:
+        raise ValueError(f"cap must be at least 0, got {cap}")
     report = VerificationReport(shape)
     poset_size = shape.size
     profile = level_sizes(shape)

@@ -116,19 +116,15 @@ def alpha_end_from_tableau(t: ChainTableau) -> tuple[int, ...]:
 
 @dataclass(frozen=True, slots=True)
 class Chain:
-    """A saturated chain of the decomposition, fully materialized."""
+    """A saturated chain of the decomposition, fully materialized.
+
+    `elements` are parts tuples in increasing rank, from `alpha.parts` to the
+    complement-symmetric end; the chain is certified once, through `alpha`.
+    """
 
     alpha: StartVector
     alpha_end: tuple[int, ...]
-    elements: tuple[Composition, ...]
-
-    @property
-    def start(self) -> Composition:
-        return self.elements[0]
-
-    @property
-    def end(self) -> Composition:
-        return self.elements[-1]
+    elements: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -140,16 +136,15 @@ def chain_elements(alpha: StartVector) -> Chain:
     The walk is the tableau's fill order: the bottom row first, up to its
     capacity n - alpha[i] - e[i], then the row above, and so on.
     """
-    shape = alpha.shape
     parts = alpha.parts
-    n = shape.n
+    n = alpha.shape.n
     end = alpha_end_parts(parts, n)
     cur = list(parts)
-    elements = [Composition(shape, parts)]
+    elements = [parts]
     for i in range(len(parts) - 1, -1, -1):
         for _ in range(n - parts[i] - end[i]):
             cur[i] += 1
-            elements.append(Composition(shape, tuple(cur)))
+            elements.append(tuple(cur))
     return Chain(alpha, end, tuple(elements))
 
 

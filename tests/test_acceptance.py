@@ -143,7 +143,7 @@ def test_criterion_7_involution_suite():
                 failures += 1
             fwd = chain_elements(sv).elements
             bwd = chain_elements(image).elements
-            if [el.parts for el in bwd] != [star(el).parts for el in reversed(fwd)]:
+            if list(bwd) != [star(Composition(shape, el)).parts for el in reversed(fwd)]:
                 failures += 1
     assert failures == 0
     print(f"\ncriterion 7 involution suite over {len(SHAPES)} shapes: PASS")

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -155,6 +156,14 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: sample must be at least 1, got -3\n"
 
+    def test_negative_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "-5")
+        assert code == 1
+        assert out == ""
+        assert err == "error: cap must be at least 0, got -5\n"
+        code, _, _ = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "0")
+        assert code == 0
+
     @staticmethod
     def _without_seconds(out):
         payload = json.loads(out)
@@ -276,6 +285,30 @@ def test_readme_commands_run(capsys):
     for argv in commands:
         code, _, err = run(capsys, *argv[1:])
         assert code == 0, (argv, err)
+
+
+def test_readme_python_examples_hold():
+    # run the README's python blocks in one namespace; a statement
+    # `expr  # value` whose comment is a Python literal must evaluate to it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    namespace: dict = {}
+    checked = 0
+    for block in re.findall(r"```python\n(.*?)```", readme, re.S):
+        lines = block.splitlines()
+        for stmt in ast.parse(block).body:
+            comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+            if isinstance(stmt, ast.Expr) and comment:
+                try:
+                    expected = ast.literal_eval(comment)
+                except (ValueError, SyntaxError):
+                    pass
+                else:
+                    value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+                    assert value == expected, (ast.unparse(stmt), value)
+                    checked += 1
+                    continue
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    assert checked >= 5
 
 
 def test_import_loads_no_process_machinery():

@@ -4,8 +4,11 @@ from collections import Counter
 from dataclasses import replace
 from math import comb
 
+import pytest
+
 import scdposet.tableau
 from scdposet import (
+    Composition,
     GridShape,
     chain_length_histogram,
     check_partition,
@@ -26,22 +29,37 @@ class TestDecompose:
     def test_single_row_is_one_full_chain(self):
         chains = list(decompose(GridShape(1, 4)))
         assert len(chains) == 1
-        assert [el.parts for el in chains[0].elements] == [(0,), (1,), (2,), (3,), (4,)]
+        assert chains[0].elements == ((0,), (1,), (2,), (3,), (4,))
 
     def test_2x1_exact_chains(self):
-        chains = [[el.parts for el in ch.elements] for ch in decompose(GridShape(2, 1))]
-        assert chains == [[(0, 0), (0, 1), (1, 1)], [(1, 0)]]
+        chains = [ch.elements for ch in decompose(GridShape(2, 1))]
+        assert chains == [((0, 0), (0, 1), (1, 1)), ((1, 0),)]
 
     def test_deterministic(self):
         shape = GridShape(3, 3)
-        first = [[el.parts for el in ch.elements] for ch in decompose(shape)]
-        second = [[el.parts for el in ch.elements] for ch in decompose(shape)]
+        first = [ch.elements for ch in decompose(shape)]
+        second = [ch.elements for ch in decompose(shape)]
         assert first == second
 
     def test_materialized_container(self):
         chains = list(decompose(GridShape(2, 2)))
         assert len(chains) == 3
         assert sum(len(ch) for ch in chains) == 9
+
+    def test_validates_each_start_once(self, monkeypatch):
+        # chain elements are plain parts tuples: the only Composition built
+        # per chain is the one its StartVector certifies
+        validated = []
+        original = Composition.__post_init__
+
+        def counting(self):
+            validated.append(self.parts)
+            original(self)
+
+        monkeypatch.setattr(Composition, "__post_init__", counting)
+        chains = list(decompose(GridShape(4, 4)))
+        assert len(chains) == 85
+        assert validated == [ch.alpha.parts for ch in chains]
 
 
 class TestLevelSizes:
@@ -135,7 +153,7 @@ class TestVerify:
         chains[1] = replace(victim, elements=victim.elements[:-1] + (stolen,))
         result = check_partition(shape, chains)
         assert not result.passed
-        assert result.counterexample["element"] == list(stolen.parts)
+        assert result.counterexample["element"] == list(stolen)
 
     def test_dropped_element_fails_partition(self):
         shape = GridShape(3, 2)
@@ -144,7 +162,7 @@ class TestVerify:
         chains[0] = replace(victim, elements=victim.elements[:-1])
         result = check_partition(shape, chains)
         assert not result.passed
-        assert result.counterexample["element"] == list(victim.elements[-1].parts)
+        assert result.counterexample["element"] == list(victim.elements[-1])
 
     def test_cap_exceeded_skips_oracle_but_runs_rest(self):
         report = verify(GridShape(4, 4), use_oracle=True, cap=100)
@@ -154,6 +172,14 @@ class TestVerify:
         assert report.check("disjoint").passed
         assert "random round trips" in report.check("disjoint").message
         assert report.passed
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError, match=r"^cap must be at least 0, got -5$"):
+            verify(GridShape(2, 1), cap=-5)
+        report = verify(GridShape(2, 1), cap=0)
+        assert report.passed
+        assert report.check("partition").skipped
+        assert report.check("middle-rank-count").skipped
 
     def test_oracle_disabled(self):
         report = verify(GridShape(2, 2), use_oracle=False)

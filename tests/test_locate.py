@@ -64,7 +64,7 @@ class TestLocate:
         for aparts in iter_start_parts(small_shape):
             sv = StartVector(Composition(small_shape, aparts))
             for el in chain_elements(sv).elements:
-                assert locate_parts(el.parts, n) == aparts
+                assert locate_parts(el, n) == aparts
 
     def test_middle_rank_surjectivity(self, small_shape):
         mid = small_shape.top_rank // 2
@@ -123,7 +123,7 @@ class TestAgainstDecomposition:
         shape = GridShape(3, 3)
         for ch in decompose(shape):
             for el in ch.elements:
-                assert locate(el).parts == ch.alpha.parts
+                assert locate(Composition(shape, el)).parts == ch.alpha.parts
 
 
 class TestLargeGrids:

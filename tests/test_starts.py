@@ -27,7 +27,7 @@ class TestIsStart:
     def test_suffix_inequality_failure(self):
         # t=1 demands 2+2 <= (2-2)+(2-0); the chain through (2,2,0) starts lower.
         assert not is_start(Composition.of((2, 2, 0), 2))
-        starts = [ch.start.parts for ch in decompose(GridShape(3, 2))]
+        starts = [ch.elements[0] for ch in decompose(GridShape(3, 2))]
         assert (2, 2, 0) not in starts
 
     def test_nonzero_last_part(self):
