@@ -4,8 +4,9 @@
 poset.  `verify` checks the decomposition's defining properties end to end,
 against an exhaustive membership oracle when the poset is small enough, and
 against deterministic samples otherwise.  The per-chain checks run in one
-pass over the starts, in one process: each start's chain and greedy grid are
-built once and read by every check.
+pass over the starts, in one process: each start's chain and greedy row
+counts are built once and read by every check, as plain parts tuples.  No
+check colours a cell grid, so the pass is the same at every grid size.
 """
 
 from __future__ import annotations
@@ -13,33 +14,21 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate, islice, product
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, GridShape, covers, rank, star
+from .core import Composition, GridShape
 from .locate import locate_parts
 from .starts import StartVector, alpha_end_parts, iter_start_parts, psi
-from .tableau import (
-    Chain,
-    ChainTableau,
-    alpha_end_from_tableau,
-    build_tableau,
-    chain_contains,
-    chain_elements,
-    element_at,
-    rotate_180,
-    strip_sources,
-)
+from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
 
 DEFAULT_CAP = 1_000_000
 
-# Sampled-mode budgets: how many starts to sample, how many chain positions
-# to probe per sampled chain, and the largest grid that is still coloured
-# cell by cell for the involution and corollary-vs-simulation checks.
+# Sampled-mode budgets: how many starts to sample, and how many chain
+# positions to probe per sampled chain.
 SAMPLE_STARTS = 512
 POSITIONS_PER_CHAIN = 64
-SAMPLED_TABLEAU_CELLS = 65536
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,6 +67,21 @@ def level_sizes(shape: GridShape) -> LevelProfile:
         last = len(sizes)
         sizes = [prefix[min(k + 1, last)] - prefix[max(k - n, 0)] for k in range(last + n)]
     return LevelProfile(shape, tuple(sizes))
+
+
+def middle_level_size(shape: GridShape) -> int:
+    """Size of the middle rank floor(m*n/2), by inclusion-exclusion.
+
+    Counts compositions of the middle rank into m parts of at most n,
+    subtracting those with k parts forced above n: O(m) big-int terms and
+    no rank profile, and no code shared with `level_sizes`.
+    """
+    m, n = shape.m, shape.n
+    mid = shape.top_rank // 2
+    return sum(
+        (-1) ** k * comb(m, k) * comb(mid - k * (n + 1) + m - 1, m - 1)
+        for k in range(min(m, mid // (n + 1)) + 1)
+    )
 
 
 def decompose(shape: GridShape) -> Iterator[Chain]:
@@ -190,29 +194,26 @@ def _positions(k: int, limit: int) -> list[int]:
 
 @dataclass(frozen=True, slots=True)
 class _StartValue:
-    """One start's chain probe and greedy grid, built once and read by every check.
-
-    `tableau` is None for a sampled grid past `SAMPLED_TABLEAU_CELLS`.
-    """
+    """One start's chain probe and greedy row counts, built once and read by every check."""
 
     sv: StartVector
     full: bool
-    at: Callable[[int], Composition]
+    at: Callable[[int], tuple[int, ...]]
     positions: Sequence[int]
-    tableau: ChainTableau | None
+    greedy: tuple[int, ...]
 
 
-def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], Composition], Sequence[int]]:
-    """Element accessor and probe positions for the chain of `sv`.
+def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], tuple[int, ...]], Sequence[int]]:
+    """Element accessor and probe positions for the chain of `sv`, as parts tuples.
 
-    Full mode materializes the chain, wrapping each element in a validated
-    `Composition` once, and probes every position; sampled mode probes a
-    bounded set of positions by O(m) random access.
+    Full mode materializes the chain and probes every position; sampled mode
+    probes a bounded set of positions by O(m) random access.
     """
     if full:
-        elements = [Composition(sv.shape, el) for el in chain_elements(sv).elements]
+        elements = chain_elements(sv).elements
         return elements.__getitem__, range(len(elements))
-    return partial(element_at, sv), _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
+    positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
+    return (lambda j: element_at(sv, j).parts), positions
 
 
 def _check_symmetric(v: _StartValue) -> dict | None:
@@ -221,61 +222,65 @@ def _check_symmetric(v: _StartValue) -> dict | None:
     does not use the end-vector formula the chain is built from."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
-    located = locate_parts(end.parts, n)
+    located = locate_parts(end, n)
     if located != parts:
-        return {"alpha": list(parts), "end": list(end.parts), "located": list(located)}
-    for i, p in enumerate(end.parts):
+        return {"alpha": list(parts), "end": list(end), "located": list(located)}
+    for i, p in enumerate(end):
         if p < n:
-            up = end.parts[:i] + (p + 1,) + end.parts[i + 1 :]
+            up = end[:i] + (p + 1,) + end[i + 1 :]
             if locate_parts(up, n) == parts:
-                return {"alpha": list(parts), "end": list(end.parts), "extends_to": list(up)}
-    lo, hi = sum(parts), rank(end)
+                return {"alpha": list(parts), "end": list(end), "extends_to": list(up)}
+    lo, hi = sum(parts), sum(end)
     if lo + hi != v.sv.shape.top_rank:
         return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
     return None
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
+    """Consecutive probed elements differ by one unit vector."""
     for j in v.positions[:-1]:
         a, b = v.at(j), v.at(j + 1)
-        if not covers(a, b):
-            return {"alpha": list(v.sv.parts), "low": list(a.parts), "high": list(b.parts)}
+        if sum(b) - sum(a) != 1 or any(y < x for x, y in zip(a, b)):
+            return {"alpha": list(v.sv.parts), "low": list(a), "high": list(b)}
     return None
 
 
 def _check_disjoint(v: _StartValue) -> dict | None:
     for j in v.positions:
         el = v.at(j)
-        back = locate_parts(el.parts, v.sv.shape.n)
+        back = locate_parts(el, v.sv.shape.n)
         if back != v.sv.parts:
-            return {"alpha": list(v.sv.parts), "element": list(el.parts), "located": list(back)}
+            return {"alpha": list(v.sv.parts), "element": list(el), "located": list(back)}
     return None
 
 
 def _check_involution(v: _StartValue) -> dict | None:
-    parts = v.sv.parts
+    """psi is an involution, turns the greedy tableau half round, and maps the
+    chain onto its reversed star.  On row counts the half-turn swaps fixed
+    prefixes with mirrored forbidden suffixes, and fill numbers follow from
+    the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
+    greedy end vectors of alpha and psi(alpha)."""
+    parts, n = v.sv.parts, v.sv.shape.n
     image = psi(v.sv)
     again = psi(image)
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
-    if v.tableau is not None:
-        if rotate_180(v.tableau) != strip_sources(build_tableau(image).cells):
-            return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
+    if image.parts[::-1] != v.greedy or greedy_counts(image.parts, n)[::-1] != parts:
+        return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
     image_at, image_positions = _probe(image, v.full)
     if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(image.parts), "reason": "chain is not the reversed star"}
     last = v.positions[-1]
     for j in v.positions:
-        if image_at(j).parts != star(v.at(last - j)).parts:
+        if image_at(j) != tuple(n - p for p in reversed(v.at(last - j))):
             return {"alpha": list(parts), "psi": list(image.parts), "reason": f"chain mismatch at position {j}"}
     return None
 
 
 def _check_corollary(v: _StartValue) -> dict | None:
     fast = alpha_end_parts(v.sv.parts, v.sv.shape.n)
-    slow = alpha_end_from_tableau(v.tableau)
-    if fast != slow:
-        return {"alpha": list(v.sv.parts), "formula": list(fast), "simulation": list(slow)}
+    if fast != v.greedy:
+        return {"alpha": list(v.sv.parts), "formula": list(fast), "simulation": list(v.greedy)}
     return None
 
 
@@ -295,22 +300,18 @@ def _run_chain_checks(shape: GridShape, starts: list[tuple[int, ...]], full: boo
 
     A check stops at its first counterexample in start order.  Each start's
     value is charged to the first check still running, so the checks'
-    seconds add up to the wall time of the pass.  Sampled grids past
-    `SAMPLED_TABLEAU_CELLS` are not coloured, and corollary-vs-simulation,
-    which has nothing else to read, is skipped.
+    seconds add up to the wall time of the pass.
     """
-    grids = full or shape.top_rank <= SAMPLED_TABLEAU_CELLS
-    skipped = set() if grids else {"corollary-vs-simulation"}
     seconds = dict.fromkeys(_CHAIN_CHECKS, 0.0)
     found: dict[str, dict] = {}
     clock = time.perf_counter
     for parts in starts:
-        running = [name for name in _CHAIN_CHECKS if name not in found and name not in skipped]
+        running = [name for name in _CHAIN_CHECKS if name not in found]
         if not running:
             break
         t0 = clock()
         sv = StartVector(Composition(shape, parts))
-        value = _StartValue(sv, full, *_probe(sv, full), build_tableau(sv) if grids else None)
+        value = _StartValue(sv, full, *_probe(sv, full), greedy_counts(parts, shape.n))
         for name in running:
             bad = _CHAIN_CHECKS[name](value)
             t1 = clock()
@@ -319,11 +320,8 @@ def _run_chain_checks(shape: GridShape, starts: list[tuple[int, ...]], full: boo
             if bad is not None:
                 found[name] = bad
     note = "" if full else f"sampled {len(starts)} chains"
-    refused = f"grid of {shape.top_rank} cells exceeds {SAMPLED_TABLEAU_CELLS}; greedy simulation refused"
     return [
-        CheckResult(name, True, skipped=True, message=refused)
-        if name in skipped
-        else CheckResult(name, name not in found, seconds[name], found.get(name), message=note)
+        CheckResult(name, name not in found, seconds[name], found.get(name), message=note)
         for name in _CHAIN_CHECKS
     ]
 
@@ -362,7 +360,6 @@ def verify(
         raise ValueError(f"cap must be at least 0, got {cap}")
     report = VerificationReport(shape)
     poset_size = shape.size
-    profile = level_sizes(shape)
     full = poset_size <= cap
 
     # Partition needs the exhaustive oracle.
@@ -401,7 +398,7 @@ def verify(
         report.checks.append(result)
 
     t0 = time.perf_counter()
-    expected = profile.middle
+    expected = middle_level_size(shape)
     if expected > cap:
         report.checks.append(
             CheckResult(

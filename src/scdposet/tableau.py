@@ -15,9 +15,12 @@ end point.  Those chains, over all start vectors, partition the poset.
 
 Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
 (`starts.alpha_end`, the closed form for the forbidden counts), so chains
-are built from e alone and never color a grid.  The greedy grid here is
-deliberately literal; it serves rendering and verify's cross-checks
-against the closed form, and the test suite holds the two to agreement.
+are built from e alone and never color a grid.  Every row is a fixed
+prefix, one free run and a forbidden suffix, so the greedy rule of pass 2
+also runs on per-row counts alone (`greedy_counts`); verify's cross-checks
+against the closed form read those counts.  The greedy grid here is
+deliberately literal; it serves rendering and is the tests' reference for
+`greedy_counts`.
 """
 
 from __future__ import annotations
@@ -90,6 +93,35 @@ def build_grid_cells(parts: tuple[int, ...], n: int) -> Cells:
                 grid[i][j] = Fillable(order)
                 order += 1
     return tuple(tuple(row) for row in grid)  # type: ignore[arg-type]
+
+
+def greedy_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Per-row forbidden-cell counts of pass 2, without the grid.
+
+    Each source row takes its cells from the free runs of the rows below
+    it, top down; rows it empties stay empty for every later source, so one
+    pointer walks the rows and the cost is O(m).  Raises
+    TableauConstructionError exactly where `build_grid_cells` does.
+    """
+    m = len(parts)
+    free = [n - a for a in parts]
+    forbidden = [0] * m
+    row = 1  # the rows between the current source and `row` have no free cell
+    for src in range(m - 1):
+        need = parts[src]
+        row = max(row, src + 1)
+        while need:
+            if row == m:
+                raise TableauConstructionError(
+                    f"row {src + 1} of {parts} needs {need} more forbidden cells than the grid holds"
+                )
+            take = min(need, free[row])
+            free[row] -= take
+            forbidden[row] += take
+            need -= take
+            if not free[row]:
+                row += 1
+    return tuple(forbidden)
 
 
 @dataclass(frozen=True, slots=True)

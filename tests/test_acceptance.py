@@ -30,6 +30,7 @@ from scdposet import (
     verify,
 )
 from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts
+from scdposet.tableau import greedy_counts
 
 # every grid with 1 <= m <= 5 and 1 <= n <= 4, plus three stretched ones
 SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(3, 6), (2, 10), (6, 2)]
@@ -121,10 +122,13 @@ def test_criterion_6_corollary_vs_simulation():
         shape = GridShape(m, n)
         for parts in iter_start_parts(shape):
             sv = StartVector(Composition(shape, parts))
-            assert alpha_end_parts(parts, n) == alpha_end_from_tableau(build_tableau(sv)), parts
+            simulated = alpha_end_from_tableau(build_tableau(sv))
+            assert alpha_end_parts(parts, n) == simulated, parts
+            assert greedy_counts(parts, n) == simulated, parts
     sv = StartVector.of(THIRTEEN_ROW_ALPHA, 7)
     assert alpha_end(sv) == THIRTEEN_ROW_END
     assert alpha_end_from_tableau(build_tableau(sv)) == THIRTEEN_ROW_END
+    assert greedy_counts(THIRTEEN_ROW_ALPHA, 7) == THIRTEEN_ROW_END
     print("\ncriterion 6 corollary vs simulation (incl. 13-row grid): PASS")
 
 
@@ -139,7 +143,14 @@ def test_criterion_7_involution_suite():
                 failures += 1
             if alpha_end(image) != tuple(reversed(parts)):
                 failures += 1
-            if rotate_180(build_tableau(sv)) != strip_sources(build_tableau(image).cells):
+            rotated = rotate_180(build_tableau(sv)) == strip_sources(build_tableau(image).cells)
+            if not rotated:
+                failures += 1
+            # the count form of the half-turn that verify reads
+            by_counts = (
+                image.parts[::-1] == greedy_counts(parts, n) and greedy_counts(image.parts, n)[::-1] == parts
+            )
+            if by_counts != rotated:
                 failures += 1
             fwd = chain_elements(sv).elements
             bwd = chain_elements(image).elements

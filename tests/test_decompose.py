@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from math import comb
@@ -16,8 +17,23 @@ from scdposet import (
     level_sizes,
     verify,
 )
+from scdposet.decompose import middle_level_size
 
 from conftest import all_parts, brute_level_sizes, dbtk_chains
+
+
+def shift_one_forbidden_cell(original):
+    """A planted fault: `original` end vectors with one forbidden cell moved
+    from row m to row m-1, keeping the sum."""
+
+    def shifted(parts, n):
+        end = list(original(parts, n))
+        if end[-1] > 0 and parts[-2] + end[-2] < n:
+            end[-1] -= 1
+            end[-2] += 1
+        return tuple(end)
+
+    return shifted
 
 
 class TestDecompose:
@@ -73,7 +89,9 @@ class TestLevelSizes:
         assert level_sizes(GridShape(2, 1)).sizes == (1, 2, 1)
 
     def test_matches_brute_count(self, small_shape):
-        assert level_sizes(small_shape).sizes == brute_level_sizes(small_shape.m, small_shape.n)
+        brute = brute_level_sizes(small_shape.m, small_shape.n)
+        assert level_sizes(small_shape).sizes == brute
+        assert middle_level_size(small_shape) == brute[small_shape.top_rank // 2]
 
     def test_matches_inclusion_exclusion_at_large_n(self):
         # compositions of k into m parts of at most n, by inclusion-exclusion
@@ -84,6 +102,7 @@ class TestLevelSizes:
             for k in range(m * n + 1)
         )
         assert level_sizes(GridShape(m, n)).sizes == expected
+        assert middle_level_size(GridShape(m, n)) == expected[m * n // 2]
 
     def test_symmetric_unimodal_and_total(self, small_shape):
         sizes = level_sizes(small_shape).sizes
@@ -199,61 +218,91 @@ class TestVerify:
             del check["seconds"]
         assert a == b
 
-    def test_full_mode_builds_each_chain_and_grid_once_per_use(self, monkeypatch):
-        # one value per start: its chain and grid, plus the partition oracle's
-        # chain and the psi image's chain and grid
+    def test_full_mode_builds_each_chain_once_and_no_grid(self, monkeypatch):
+        # one value per start: its chain and greedy row counts, plus the
+        # partition oracle's chain and the psi image's chain; no cell grid is
+        # coloured, and chain elements stay plain tuples, so the only
+        # Compositions are those of the start, psi(start), psi(psi(start))
+        # and the oracle's start
         module = importlib.import_module("scdposet.decompose")
         built = Counter()
+        fn = module.chain_elements
 
-        def counting(name):
-            fn = getattr(module, name)
+        def counting(sv):
+            built["chain_elements"] += 1
+            return fn(sv)
 
-            def wrapper(sv):
-                built[name] += 1
-                return fn(sv)
+        def refuse(parts, n):
+            raise AssertionError(f"grid built for {parts}")
 
-            return wrapper
+        validated = Counter()
+        original = Composition.__post_init__
 
-        for name in ("chain_elements", "build_tableau"):
-            monkeypatch.setattr(module, name, counting(name))
+        def validating(self):
+            validated["compositions"] += 1
+            original(self)
+
+        monkeypatch.setattr(module, "chain_elements", counting)
+        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        monkeypatch.setattr(Composition, "__post_init__", validating)
         report = verify(GridShape(4, 4))
         assert report.passed
         starts = report.chain_count
         assert starts == 85
         assert built["chain_elements"] <= 3 * starts
-        assert built["build_tableau"] <= 2 * starts
+        assert validated["compositions"] <= 4 * starts
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
-        # same sum, one forbidden cell moved from row m to row m-1: the chain
-        # still ends at the complementary rank, but not where locate says
-        original = scdposet.tableau.alpha_end_parts
-
-        def shifted(parts, n):
-            end = list(original(parts, n))
-            if end[-1] > 0 and parts[-2] + end[-2] < n:
-                end[-1] -= 1
-                end[-2] += 1
-            return tuple(end)
-
+        # the chain still ends at the complementary rank, but not where
+        # locate says
+        shifted = shift_one_forbidden_cell(scdposet.tableau.alpha_end_parts)
         monkeypatch.setattr(scdposet.tableau, "alpha_end_parts", shifted)
         report = verify(GridShape(3, 3))
         assert not report.check("symmetric").passed
 
     def test_sampled_large_grid_colours_no_grid(self, monkeypatch):
-        # m*n past SAMPLED_TABLEAU_CELLS: no greedy grid is built, and the one
-        # check that reads nothing else says it was skipped
-        module = importlib.import_module("scdposet.decompose")
+        # a 400,000-cell grid: no cell grid is built, every per-chain check
+        # runs, and memory does not grow with n
+        def refuse(parts, n):
+            raise AssertionError(f"grid built for {parts}")
 
-        def refuse(sv):
-            raise AssertionError(f"grid built for {sv.parts}")
-
-        monkeypatch.setattr(module, "build_tableau", refuse)
-        report = verify(GridShape(2, 200000), sample=1)
+        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        tracemalloc.start()
+        try:
+            report = verify(GridShape(2, 200000), sample=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert report.passed
+        assert [c.name for c in report.checks if c.skipped] == ["partition"]
         corollary = report.check("corollary-vs-simulation")
-        assert corollary.skipped
-        assert "exceeds 65536" in corollary.message
+        assert corollary.passed and corollary.message == "sampled 1 chains"
         assert not report.check("involution").skipped
+        assert peak < 5 * 2**20, f"verify peaked at {peak} bytes traced"
+
+    def test_corollary_catches_wrong_end_vector_at_large_n(self, monkeypatch):
+        # the fault sits in the formula verify compares against the greedy
+        # counts, on a 400,000-cell grid that is sampled, not enumerated
+        module = importlib.import_module("scdposet.decompose")
+        monkeypatch.setattr(module, "alpha_end_parts", shift_one_forbidden_cell(module.alpha_end_parts))
+        report = verify(GridShape(2, 200000), sample=4)
+        corollary = report.check("corollary-vs-simulation")
+        assert not corollary.skipped
+        assert not corollary.passed
+        assert corollary.counterexample == {"alpha": [1, 0], "formula": [1, 0], "simulation": [0, 1]}
+        assert not report.passed
+
+    def test_involution_catches_psi_that_is_not_the_half_turn(self, monkeypatch):
+        # psi replaced by the identity is still an involution, and on the
+        # fixed point 0 it still matches the reversed star, so the count form
+        # of the half-turn is what fails first
+        module = importlib.import_module("scdposet.decompose")
+        monkeypatch.setattr(module, "psi", lambda sv: sv)
+        report = verify(GridShape(3, 3))
+        involution = report.check("involution")
+        assert not involution.passed
+        assert involution.counterexample["reason"] == "rotated tableau differs"
+        assert involution.counterexample["alpha"] == [0, 1, 0]
 
 
 class TestAgainstDeBruijnTengbergenKruyswijk:

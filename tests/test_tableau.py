@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,9 @@ from scdposet import (
 )
 from scdposet import cli, tableau
 from scdposet.starts import alpha_end_parts, iter_start_parts
-from scdposet.tableau import build_grid_cells
+from scdposet.tableau import build_grid_cells, greedy_counts
+
+from conftest import SMALL_SHAPES
 
 SAMPLE_A = StartVector.of((2, 0, 5, 0), 6)
 SAMPLE_A_CHAIN = [
@@ -83,6 +86,22 @@ class TestBuildTableau:
     def test_overflow_raises_for_non_start(self):
         with pytest.raises(TableauConstructionError):
             build_grid_cells((2, 2, 0), 2)
+        # the count-only greedy rule raises exactly where the literal grid
+        # does, on every composition, and otherwise gives its forbidden counts
+        for m, n in SMALL_SHAPES:
+            if m > 5:
+                continue
+            for parts in product(range(n + 1), repeat=m):
+                try:
+                    cells = build_grid_cells(parts, n)
+                    expected = tuple(sum(isinstance(cell, Forbidden) for cell in row) for row in cells)
+                except TableauConstructionError:
+                    expected = None
+                try:
+                    got = greedy_counts(parts, n)
+                except TableauConstructionError:
+                    got = None
+                assert got == expected, (parts, n)
 
 
 class TestChainElements:
