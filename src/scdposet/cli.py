@@ -20,8 +20,8 @@ from .decompose import (
     verify,
 )
 from .locate import certificate
-from .render import render_ascii, render_svg, tableau_payload
-from .starts import StartVector, alpha_end, iter_start_parts, psi
+from .render import MAX_RENDER_CELLS, render_ascii, render_svg, tableau_payload
+from .starts import StartVector, iter_start_parts, psi
 from .tableau import Chain, build_tableau, chain_elements
 
 
@@ -84,7 +84,7 @@ def _chain_payload(ch: Chain) -> dict:
         "m": ch.alpha.shape.m,
         "n": ch.alpha.shape.n,
         "alpha": list(ch.alpha.parts),
-        "alpha_end": list(ch.alpha_end),
+        "alpha_end": list(ch.alpha.end),
         "start": list(ch.elements[0]),
         "end": list(ch.elements[-1]),
         "elements": [list(el) for el in ch.elements],
@@ -140,7 +140,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 "n": sv.shape.n,
                 "alpha": list(sv.parts),
                 "psi": list(image.parts),
-                "alpha_end": list(alpha_end(sv)),
+                "alpha_end": list(sv.end),
                 "involution_ok": True,
             }
         )
@@ -154,6 +154,8 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "render":
         sv = _start_vector(args.alpha, args.n)
+        if sv.shape.top_rank > MAX_RENDER_CELLS:
+            raise ValueError(f"grid of {sv.shape.top_rank} cells exceeds the render limit of {MAX_RENDER_CELLS}")
         t = build_tableau(sv)
         if args.format == "json":
             _emit(tableau_payload(t))

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, GridShape
 from .locate import locate_parts
-from .starts import StartVector, alpha_end_parts, iter_start_parts, psi
+from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
 
 DEFAULT_CAP = 1_000_000
@@ -259,10 +259,17 @@ def _check_involution(v: _StartValue) -> dict | None:
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
     the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
-    greedy end vectors of alpha and psi(alpha)."""
+    greedy end vectors of alpha and psi(alpha).  An image outside the
+    starting set is a counterexample, not an error."""
     parts, n = v.sv.parts, v.sv.shape.n
-    image = psi(v.sv)
-    again = psi(image)
+    try:
+        image = psi(v.sv)
+    except NotStartVectorError:
+        return {"alpha": list(parts), "reason": "psi(alpha) is not a start vector"}
+    try:
+        again = psi(image)
+    except NotStartVectorError:
+        return {"alpha": list(parts), "psi": list(image.parts), "reason": "psi(psi(alpha)) is not a start vector"}
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
     if image.parts[::-1] != v.greedy or greedy_counts(image.parts, n)[::-1] != parts:
@@ -278,9 +285,8 @@ def _check_involution(v: _StartValue) -> dict | None:
 
 
 def _check_corollary(v: _StartValue) -> dict | None:
-    fast = alpha_end_parts(v.sv.parts, v.sv.shape.n)
-    if fast != v.greedy:
-        return {"alpha": list(v.sv.parts), "formula": list(fast), "simulation": list(v.greedy)}
+    if v.sv.end != v.greedy:
+        return {"alpha": list(v.sv.parts), "formula": list(v.sv.end), "simulation": list(v.greedy)}
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Composition
-from .starts import StartVector, alpha_end_parts, splitting_rows_parts
+from .starts import StartVector, splitting_rows_parts
 
 
 class CertificateError(RuntimeError):
@@ -83,9 +83,9 @@ def certificate(c: Composition) -> MembershipCertificate:
     split = set(splitting_rows_parts(aparts, n))
     if not positive <= split:
         raise CertificateError(f"fill rows {sorted(positive)} not all splitting for alpha={aparts}")
-    end = alpha_end_parts(aparts, n)
+    sv = StartVector(Composition(c.shape, aparts))
     for t in range(min(positive) + 1, m + 1):
-        if cparts[t - 1] + end[t - 1] != n:
+        if cparts[t - 1] + sv.end[t - 1] != n:
             raise CertificateError(f"row {t} of c={cparts} not saturated against alpha={aparts}")
 
     # Block sums: scanning up from each fill row j, partial sums of alpha stay
@@ -104,4 +104,4 @@ def certificate(c: Composition) -> MembershipCertificate:
             if lhs > rhs:
                 raise CertificateError(f"block {i}..{j} of c={cparts} overflows: {lhs} > {rhs}")
 
-    return MembershipCertificate(StartVector(Composition(c.shape, aparts)), fill, positive)
+    return MembershipCertificate(sv, fill, positive)

@@ -8,8 +8,12 @@ output of `render_ascii`.  SVG output is presentation only.
 from __future__ import annotations
 
 from .core import format_parts, parse_parts
-from .starts import alpha_end_parts
 from .tableau import Cells, ChainTableau, Fillable, Fixed, Forbidden
+
+# The CLI refuses to render grids with more cells than this, before any
+# cell is built: one cell object each, and an SVG of 10**5 cells is about
+# 80 MB resident.
+MAX_RENDER_CELLS = 100_000
 
 FIXED_GLYPH = "G"
 FORBIDDEN_GLYPH = "X"
@@ -27,8 +31,7 @@ def render_ascii(t: ChainTableau) -> str:
     number; every cell is right-aligned to width 3 and cells are separated
     by single spaces.
     """
-    parts = t.alpha.parts
-    header = f"alpha={format_parts(parts)} alphaE={format_parts(alpha_end_parts(parts, t.shape.n))}"
+    header = f"alpha={format_parts(t.alpha.parts)} alphaE={format_parts(t.alpha.end)}"
     lines = [header]
     for row in t.cells:
         toks = []
@@ -85,7 +88,7 @@ def tableau_payload(t: ChainTableau) -> dict:
         "m": t.shape.m,
         "n": t.shape.n,
         "alpha": list(t.alpha.parts),
-        "alpha_end": list(alpha_end_parts(t.alpha.parts, t.shape.n)),
+        "alpha_end": list(t.alpha.end),
         "cells": cells,
     }
 

@@ -11,12 +11,14 @@ Each start vector indexes exactly one chain of the decomposition.  This
 module answers membership, enumerates the whole set in lexicographic order
 without scanning the full grid poset, computes the splitting rows and the
 per-row forbidden-cell counts ("end vector") in O(m), and implements the
-induced involution psi.
+induced involution psi.  A `StartVector` is certified once and carries its
+end vector as `.end`, computed on construction; everything that reads the
+end vector of a certified start reads that field.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from .core import Composition, GridShape
@@ -45,20 +47,23 @@ def is_start_parts(parts: tuple[int, ...], n: int) -> bool:
     return True
 
 
-def is_start(c: Composition) -> bool:
-    """True iff `c` is the start of a chain in the decomposition."""
-    return is_start_parts(c.parts, c.shape.n)
-
-
 @dataclass(frozen=True, slots=True)
 class StartVector:
-    """A composition certified to be a chain start."""
+    """A composition certified to be a chain start, with its end vector.
+
+    `end` holds the per-row forbidden-cell counts (`alpha_end_parts`); the
+    chain of `alpha` ends at (n - end[0], ..., n - end[m-1]).  It is derived
+    from `alpha`, so it takes no part in equality, hashing or repr.
+    """
 
     alpha: Composition
+    end: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not is_start(self.alpha):
-            raise NotStartVectorError(f"{self.alpha.parts} is not a start vector for n={self.alpha.shape.n}")
+        parts, n = self.alpha.parts, self.alpha.shape.n
+        if not is_start_parts(parts, n):
+            raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
+        object.__setattr__(self, "end", alpha_end_parts(parts, n))
 
     @classmethod
     def of(cls, parts, n: int) -> "StartVector":
@@ -105,11 +110,6 @@ def splitting_rows_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def splitting_rows(alpha: StartVector) -> tuple[int, ...]:
-    """Splitting rows of `alpha`, a strictly increasing tuple from 1 to m."""
-    return splitting_rows_parts(alpha.parts, alpha.shape.n)
-
-
 def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Per-row forbidden-cell counts of the chain tableau, by block formula.
 
@@ -129,20 +129,13 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(end)
 
 
-def alpha_end(alpha: StartVector) -> tuple[int, ...]:
-    """End vector of `alpha`: row counts of forbidden cells; the chain of
-    `alpha` ends at (n - e[1], ..., n - e[m]) for e = alpha_end(alpha)."""
-    return alpha_end_parts(alpha.parts, alpha.shape.n)
-
-
 def psi(alpha: StartVector) -> StartVector:
     """The induced involution: reverse the end vector of `alpha`.
 
     The result is again a start vector (validated on construction); applying
     psi twice returns the original vector.
     """
-    rev = tuple(reversed(alpha_end(alpha)))
-    return StartVector(Composition(alpha.shape, rev))
+    return StartVector(Composition(alpha.shape, alpha.end[::-1]))
 
 
 def iter_start_parts(shape: GridShape) -> Iterator[tuple[int, ...]]:

@@ -14,13 +14,13 @@ a saturated chain in the grid poset from alpha up to its complement-symmetric
 end point.  Those chains, over all start vectors, partition the poset.
 
 Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
-(`starts.alpha_end`, the closed form for the forbidden counts), so chains
-are built from e alone and never color a grid.  Every row is a fixed
-prefix, one free run and a forbidden suffix, so the greedy rule of pass 2
-also runs on per-row counts alone (`greedy_counts`); verify's cross-checks
-against the closed form read those counts.  The greedy grid here is
-deliberately literal; it serves rendering and is the tests' reference for
-`greedy_counts`.
+(`StartVector.end`, the closed form for the forbidden counts, computed once
+when the start is certified), so chains are built from e alone and never
+color a grid.  Every row is a fixed prefix, one free run and a forbidden
+suffix, so the greedy rule of pass 2 also runs on per-row counts alone
+(`greedy_counts`); verify's cross-checks against the closed form read those
+counts.  The greedy grid here is deliberately literal; it serves rendering
+and is the tests' reference for `greedy_counts`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import Composition, GridShape, rank
-from .starts import StartVector, alpha_end_parts
+from .starts import StartVector
 
 
 class TableauConstructionError(RuntimeError):
@@ -151,11 +151,11 @@ class Chain:
     """A saturated chain of the decomposition, fully materialized.
 
     `elements` are parts tuples in increasing rank, from `alpha.parts` to the
-    complement-symmetric end; the chain is certified once, through `alpha`.
+    complement-symmetric end; the chain is certified once, through `alpha`,
+    whose `alpha.end` is the end vector the walk read.
     """
 
     alpha: StartVector
-    alpha_end: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
 
     def __len__(self) -> int:
@@ -170,14 +170,14 @@ def chain_elements(alpha: StartVector) -> Chain:
     """
     parts = alpha.parts
     n = alpha.shape.n
-    end = alpha_end_parts(parts, n)
+    end = alpha.end
     cur = list(parts)
     elements = [parts]
     for i in range(len(parts) - 1, -1, -1):
         for _ in range(n - parts[i] - end[i]):
             cur[i] += 1
             elements.append(tuple(cur))
-    return Chain(alpha, end, tuple(elements))
+    return Chain(alpha, tuple(elements))
 
 
 def element_at(alpha: StartVector, j: int) -> Composition:
@@ -190,7 +190,7 @@ def element_at(alpha: StartVector, j: int) -> Composition:
     """
     parts = alpha.parts
     n = alpha.shape.n
-    end = alpha_end_parts(parts, n)
+    end = alpha.end
     total = alpha.shape.top_rank - 2 * sum(parts)
     if not 0 <= j <= total:
         raise IndexError(f"chain of {parts} has positions 0..{total}, got {j}")

@@ -1,4 +1,4 @@
-"""Shared fixtures and independent brute-force oracles.
+"""Shared fixtures, independent brute-force oracles and one planted fault.
 
 The oracles here recompute everything from definitions with plain nested
 sums and exhaustive scans, on purpose: they share no code with the package
@@ -27,6 +27,20 @@ SMALL_SHAPES = [
     (5, 2),
     (4, 4),
 ]
+
+
+def shift_one_forbidden_cell(original):
+    """A planted fault: `original` end vectors with one forbidden cell moved
+    from row m to row m-1, keeping the sum."""
+
+    def shifted(parts, n):
+        end = list(original(parts, n))
+        if end[-1] > 0 and parts[-2] + end[-2] < n:
+            end[-1] -= 1
+            end[-2] += 1
+        return tuple(end)
+
+    return shifted
 
 
 def all_parts(m, n):

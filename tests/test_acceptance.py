@@ -13,7 +13,6 @@ from scdposet import (
     Composition,
     GridShape,
     StartVector,
-    alpha_end,
     alpha_end_from_tableau,
     build_tableau,
     chain_contains,
@@ -126,7 +125,7 @@ def test_criterion_6_corollary_vs_simulation():
             assert alpha_end_parts(parts, n) == simulated, parts
             assert greedy_counts(parts, n) == simulated, parts
     sv = StartVector.of(THIRTEEN_ROW_ALPHA, 7)
-    assert alpha_end(sv) == THIRTEEN_ROW_END
+    assert sv.end == THIRTEEN_ROW_END
     assert alpha_end_from_tableau(build_tableau(sv)) == THIRTEEN_ROW_END
     assert greedy_counts(THIRTEEN_ROW_ALPHA, 7) == THIRTEEN_ROW_END
     print("\ncriterion 6 corollary vs simulation (incl. 13-row grid): PASS")
@@ -141,7 +140,7 @@ def test_criterion_7_involution_suite():
             image = psi(sv)
             if psi(image).parts != parts:
                 failures += 1
-            if alpha_end(image) != tuple(reversed(parts)):
+            if image.end != tuple(reversed(parts)):
                 failures += 1
             rotated = rotate_180(build_tableau(sv)) == strip_sources(build_tableau(image).cells)
             if not rotated:

@@ -11,8 +11,12 @@ from pathlib import Path
 import pytest
 
 import scdposet
+import scdposet.starts
+import scdposet.tableau
 from scdposet import cli
 from scdposet.decompose import CheckResult, VerificationReport
+
+from conftest import shift_one_forbidden_cell
 
 
 def run(capsys, *argv):
@@ -144,6 +148,17 @@ class TestVerifyCommand:
         assert code == 2
         assert json.loads(out)["passed"] is False
 
+    def test_psi_image_outside_starting_set_exits_2(self, capsys, monkeypatch):
+        # a wrong end vector sends psi((1, 0)) outside the starting set: a
+        # failed report, not a bad-input error
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        code, out, err = run(capsys, "verify", "-m", "2", "-n", "200000", "--sample", "4")
+        assert code == 2
+        assert err == ""
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["involution"]["counterexample"]["reason"] == "psi(alpha) is not a start vector"
+
     def test_sample_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "0")
         assert code == 1
@@ -223,6 +238,23 @@ class TestRenderCommand:
         payload = json.loads(out)
         assert payload["alpha_end"] == [0, 1, 2, 3]
         assert payload["cells"][3][0] == {"state": "fillable", "order": 1}
+
+    def test_oversized_grid_refused_before_any_cell(self, capsys, monkeypatch):
+        def refuse(parts, n):
+            raise AssertionError(f"grid built for {parts}")
+
+        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        code, out, err = run(capsys, "render", "--alpha", "0,0", "-n", "100000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "render limit" in err
+
+    def test_cell_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_RENDER_CELLS", 16)
+        code, out, _ = run(capsys, "render", "--alpha", "1,3,2,0", "-n", "4")
+        assert code == 0 and out.startswith("alpha=1,3,2,0")
+        code, _, err = run(capsys, "render", "--alpha", "1,3,2,0", "-n", "5")
+        assert code == 1 and err == "error: grid of 20 cells exceeds the render limit of 16\n"
 
 
 class TestStatsCommand:

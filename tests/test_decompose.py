@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+import scdposet.starts
 import scdposet.tableau
 from scdposet import (
     Composition,
@@ -19,21 +20,7 @@ from scdposet import (
 )
 from scdposet.decompose import middle_level_size
 
-from conftest import all_parts, brute_level_sizes, dbtk_chains
-
-
-def shift_one_forbidden_cell(original):
-    """A planted fault: `original` end vectors with one forbidden cell moved
-    from row m to row m-1, keeping the sum."""
-
-    def shifted(parts, n):
-        end = list(original(parts, n))
-        if end[-1] > 0 and parts[-2] + end[-2] < n:
-            end[-1] -= 1
-            end[-2] += 1
-        return tuple(end)
-
-    return shifted
+from conftest import all_parts, brute_level_sizes, dbtk_chains, shift_one_forbidden_cell
 
 
 class TestDecompose:
@@ -255,8 +242,8 @@ class TestVerify:
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
         # the chain still ends at the complementary rank, but not where
         # locate says
-        shifted = shift_one_forbidden_cell(scdposet.tableau.alpha_end_parts)
-        monkeypatch.setattr(scdposet.tableau, "alpha_end_parts", shifted)
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
         report = verify(GridShape(3, 3))
         assert not report.check("symmetric").passed
 
@@ -283,13 +270,25 @@ class TestVerify:
     def test_corollary_catches_wrong_end_vector_at_large_n(self, monkeypatch):
         # the fault sits in the formula verify compares against the greedy
         # counts, on a 400,000-cell grid that is sampled, not enumerated
-        module = importlib.import_module("scdposet.decompose")
-        monkeypatch.setattr(module, "alpha_end_parts", shift_one_forbidden_cell(module.alpha_end_parts))
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
         report = verify(GridShape(2, 200000), sample=4)
         corollary = report.check("corollary-vs-simulation")
         assert not corollary.skipped
         assert not corollary.passed
         assert corollary.counterexample == {"alpha": [1, 0], "formula": [1, 0], "simulation": [0, 1]}
+        assert not report.passed
+
+    def test_involution_reports_psi_image_outside_starting_set(self, monkeypatch):
+        # with one forbidden cell moved, psi((1, 0)) reverses the wrong end
+        # vector to (0, 1), which is no start; verify reports it, not raises
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        report = verify(GridShape(2, 200000), sample=4)
+        involution = report.check("involution")
+        assert not involution.skipped
+        assert not involution.passed
+        assert involution.counterexample == {"alpha": [1, 0], "reason": "psi(alpha) is not a start vector"}
         assert not report.passed
 
     def test_involution_catches_psi_that_is_not_the_half_turn(self, monkeypatch):

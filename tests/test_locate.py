@@ -10,13 +10,12 @@ from scdposet import (
     chain_elements,
     decompose,
     element_at,
-    is_start,
     locate,
     locate_parts,
     psi,
     rank,
 )
-from scdposet.starts import iter_start_parts
+from scdposet.starts import is_start_parts, iter_start_parts
 
 from conftest import all_parts
 
@@ -50,7 +49,7 @@ class TestLocate:
         n = small_shape.n
         for parts in all_parts(small_shape.m, n):
             sv = locate(Composition(small_shape, parts))  # validates on construction
-            assert is_start(sv.alpha)
+            assert is_start_parts(sv.parts, n)
 
     def test_round_trip_membership(self, small_shape):
         for parts in all_parts(small_shape.m, small_shape.n):
@@ -130,9 +129,9 @@ class TestLargeGrids:
     @settings(max_examples=50, deadline=None)
     @given(large_compositions)
     def test_locate_element_at_and_psi(self, c):
-        # is_start(locate(c)), element_at(locate(c), rank(c) - rank(locate(c))) == c,
+        # is_start_parts(locate_parts(c)), element_at(locate(c), rank(c) - rank(locate(c))) == c,
         # and psi(psi(a)) == a, checked on one drawn composition
-        assert is_start(Composition(c.shape, locate_parts(c.parts, c.shape.n)))
+        assert is_start_parts(locate_parts(c.parts, c.shape.n), c.shape.n)
         sv = locate(c)
         assert element_at(sv, rank(c) - rank(sv.alpha)) == c
         assert psi(psi(sv)) == sv

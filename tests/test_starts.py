@@ -1,16 +1,22 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import scdposet.starts
 from scdposet import (
     Composition,
     GridShape,
     NotStartVectorError,
     StartVector,
-    alpha_end,
+    build_tableau,
+    certificate,
     decompose,
-    is_start,
+    element_at,
     level_sizes,
     psi,
-    splitting_rows,
+    render_ascii,
+    verify,
 )
 from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts, splitting_rows_parts
 
@@ -19,22 +25,22 @@ from conftest import all_parts, brute_is_start, literal_splitting_rows
 
 class TestIsStart:
     def test_worked_example(self):
-        assert is_start(Composition.of((2, 0, 5, 0), 6))
+        assert is_start_parts((2, 0, 5, 0), 6)
 
     def test_zero_vector(self):
-        assert is_start(Composition.of((0, 0, 0, 0, 0), 3))
+        assert is_start_parts((0, 0, 0, 0, 0), 3)
 
     def test_suffix_inequality_failure(self):
         # t=1 demands 2+2 <= (2-2)+(2-0); the chain through (2,2,0) starts lower.
-        assert not is_start(Composition.of((2, 2, 0), 2))
+        assert not is_start_parts((2, 2, 0), 2)
         starts = [ch.elements[0] for ch in decompose(GridShape(3, 2))]
         assert (2, 2, 0) not in starts
 
     def test_nonzero_last_part(self):
-        assert not is_start(Composition.of((0, 0, 1), 4))
+        assert not is_start_parts((0, 0, 1), 4)
 
     def test_rank_bound_implied_by_suffix_inequalities(self, small_shape):
-        # the explicit rank check in is_start is redundancy by design: the
+        # the explicit rank check in is_start_parts is redundancy by design: the
         # t=1 suffix inequality already forces rank <= floor(m*n/2)
         m, n = small_shape.m, small_shape.n
         for parts in all_parts(m, n):
@@ -59,14 +65,14 @@ class TestIsStart:
 
 class TestSplittingRows:
     def test_worked_example(self):
-        assert splitting_rows(StartVector.of((2, 0, 5, 0), 6)) == (1, 2, 3, 4)
+        assert splitting_rows_parts((2, 0, 5, 0), 6) == (1, 2, 3, 4)
 
     def test_block_of_length_two(self):
         # row 3 is skipped: 3 > 4-2 at q=2, then 3+2 <= (4-2)+(4-0)
-        assert splitting_rows(StartVector.of((1, 3, 2, 0), 4)) == (1, 2, 4)
+        assert splitting_rows_parts((1, 3, 2, 0), 4) == (1, 2, 4)
 
     def test_zero_vector_every_row_splits(self):
-        assert splitting_rows(StartVector.of((0,) * 6, 3)) == (1, 2, 3, 4, 5, 6)
+        assert splitting_rows_parts((0,) * 6, 3) == (1, 2, 3, 4, 5, 6)
 
     def test_matches_literal_recursion(self, small_shape):
         n = small_shape.n
@@ -82,15 +88,56 @@ class TestSplittingRows:
 
 class TestAlphaEnd:
     def test_worked_example(self):
-        assert alpha_end(StartVector.of((2, 0, 5, 0), 6)) == (0, 2, 0, 5)
+        assert StartVector.of((2, 0, 5, 0), 6).end == (0, 2, 0, 5)
 
     def test_second_worked_example(self):
-        assert alpha_end(StartVector.of((1, 3, 2, 0), 4)) == (0, 1, 2, 3)
+        assert StartVector.of((1, 3, 2, 0), 4).end == (0, 1, 2, 3)
 
     def test_thirteen_row_regression(self):
         # frozen from the greedy grid simulation before being asserted here
         sv = StartVector.of((5, 2, 1, 6, 4, 1, 4, 0, 5, 4, 3, 2, 0), 7)
-        assert alpha_end(sv) == (0, 5, 2, 1, 3, 6, 2, 4, 0, 3, 4, 5, 2)
+        assert sv.end == (0, 5, 2, 1, 3, 6, 2, 4, 0, 3, 4, 5, 2)
+
+    def test_end_is_the_formula_and_not_part_of_the_value(self, small_shape):
+        n = small_shape.n
+        for parts in iter_start_parts(small_shape):
+            sv = StartVector.of(parts, n)
+            assert sv.end == alpha_end_parts(parts, n)
+            twin = StartVector(sv.alpha)
+            object.__setattr__(twin, "end", ())
+            assert twin == sv and hash(twin) == hash(sv) and repr(twin) == repr(sv)
+        assert repr(StartVector.of((1, 0), 2)) == "StartVector(alpha=Composition(shape=GridShape(m=2, n=2), parts=(1, 0)))"
+
+    def test_computed_once_per_start_vector(self, monkeypatch):
+        # StartVector construction is the one production site of the end
+        # vector; chains, psi, certificates, verify and render read `.end`
+        calls = Counter()
+        original = scdposet.starts.alpha_end_parts
+
+        def counting(parts, n):
+            calls["alpha_end_parts"] += 1
+            return original(parts, n)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("scdposet") and getattr(module, "alpha_end_parts", None) is original:
+                monkeypatch.setattr(module, "alpha_end_parts", counting)
+        post_init = StartVector.__post_init__
+
+        def constructing(self):
+            calls["StartVector"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(StartVector, "__post_init__", constructing)
+        shape = GridShape(4, 4)
+        assert verify(shape).passed
+        assert calls == {"alpha_end_parts": 340, "StartVector": 340}
+        assert len(list(decompose(shape))) == 85
+        sv = certificate(Composition.of((1, 3, 2, 2), 4)).alpha
+        assert element_at(sv, 1).parts == (1, 2, 2, 1)
+        assert psi(sv).parts == (2, 2, 1, 0)
+        assert render_ascii(build_tableau(sv)).startswith("alpha=1,2,2,0 alphaE=0,1,2,2")
+        assert calls["StartVector"] == 340 + 85 + 2
+        assert calls["alpha_end_parts"] == calls["StartVector"]
 
     def test_first_entry_zero_and_total_is_rank(self, small_shape):
         n = small_shape.n
@@ -133,7 +180,7 @@ class TestPsi:
     def test_end_vector_of_image_is_reverse(self, small_shape):
         for parts in iter_start_parts(small_shape):
             sv = StartVector.of(parts, small_shape.n)
-            assert alpha_end(psi(sv)) == tuple(reversed(sv.parts))
+            assert psi(sv).end == tuple(reversed(sv.parts))
 
 
 class TestEnumerateStarts:

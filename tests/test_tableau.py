@@ -110,7 +110,7 @@ class TestChainElements:
         assert list(ch.elements) == SAMPLE_A_CHAIN
         assert ch.elements[0] == (2, 0, 5, 0)
         assert ch.elements[-1] == (6, 4, 6, 1)
-        assert ch.alpha_end == (0, 2, 0, 5)
+        assert ch.alpha.end == (0, 2, 0, 5)
 
     def test_second_example_chain(self):
         ch = chain_elements(SAMPLE_B)
@@ -166,7 +166,7 @@ class TestChainElements:
         for parts in iter_start_parts(small_shape):
             sv = StartVector.of(parts, small_shape.n)
             ch = chain_elements(sv)
-            assert ch.elements[-1] == tuple(n - e for e in ch.alpha_end)
+            assert ch.elements[-1] == tuple(n - e for e in ch.alpha.end)
 
     def test_fill_vectors_have_frontier_shape(self, small_shape):
         # c - alpha is all-zero above its topmost positive row, within
