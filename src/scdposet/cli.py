@@ -83,16 +83,20 @@ def _chain_payload(ch: Chain) -> dict:
     return {
         "m": ch.alpha.shape.m,
         "n": ch.alpha.shape.n,
-        "alpha": list(ch.alpha.parts),
-        "alpha_end": list(ch.alpha.end),
-        "start": list(ch.elements[0]),
-        "end": list(ch.elements[-1]),
-        "elements": [list(el) for el in ch.elements],
+        "alpha": ch.alpha.parts,
+        "alpha_end": ch.alpha.end,
+        "start": ch.elements[0],
+        "end": ch.elements[-1],
+        "elements": ch.elements,
     }
 
 
+# json.dumps would build this encoder on every call; tuples encode as arrays.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, separators=(",", ":")))
+    sys.stdout.write(_encode(obj))
     sys.stdout.write("\n")
 
 
@@ -129,8 +133,14 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "psi":
         sv = _start_vector(args.alpha, args.n)
-        image = psi(sv)
-        back = psi(image)
+        try:
+            image = psi(sv)
+            back = psi(image)
+        except ValueError as exc:
+            # sv is certified, so an image that is no valid composition or no
+            # start vector is a failed check, not bad input
+            sys.stderr.write(f"error: psi image of {sv.parts} rejected: {exc}\n")
+            return 2
         if back.parts != sv.parts:
             sys.stderr.write(f"error: psi(psi({sv.parts})) gave {back.parts}\n")
             return 2

@@ -62,7 +62,7 @@ class Composition:
     @classmethod
     def of(cls, parts, n: int) -> "Composition":
         """Build a composition from any iterable of parts, inferring m."""
-        t = tuple(int(p) for p in parts)
+        t = tuple(map(int, parts))
         return cls(GridShape(len(t), n), t)
 
 

@@ -10,10 +10,10 @@ A start vector on an m-by-n grid is a composition alpha with
 Each start vector indexes exactly one chain of the decomposition.  This
 module answers membership, enumerates the whole set in lexicographic order
 without scanning the full grid poset, computes the splitting rows and the
-per-row forbidden-cell counts ("end vector") in O(m), and implements the
-induced involution psi.  A `StartVector` is certified once and carries its
-end vector as `.end`, computed on construction; everything that reads the
-end vector of a certified start reads that field.
+per-row forbidden-cell counts ("end vector") in one O(m) forward scan each,
+and implements the induced involution psi.  A `StartVector` is certified
+once and carries its end vector as `.end`, computed on construction;
+everything that reads the end vector of a certified start reads that field.
 """
 
 from __future__ import annotations
@@ -86,27 +86,21 @@ def splitting_rows_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
 
         sum(parts[p..q]) <= sum(n - parts[i] for i in p+1..q+1).
 
-    The membership inequalities guarantee q = m-1 always qualifies, so the
-    recursion terminates at row m.  Running block sums keep this O(m) overall;
-    each row is visited once because blocks never overlap.
+    One forward scan over the rows keeps those two block sums and resets them
+    whenever a block closes, so the cost is O(m).  The membership
+    inequalities guarantee the last block closes at row m; if it does not,
+    `parts` is no start vector and NotStartVectorError is raised.
     """
-    m = len(parts)
     rows = [1]
-    p = 1
-    while p < m:
-        lhs = 0  # sum(parts[p..q])
-        rhs = 0  # sum(n - parts[i] for i in p+1..q+1)
-        q = p
-        while True:
-            lhs += parts[q - 1]
-            rhs += n - parts[q]
-            if lhs <= rhs:
-                break
-            q += 1
-            if q > m - 1:
-                raise NotStartVectorError(f"splitting recursion ran off the grid for {parts}")
-        rows.append(q + 1)
-        p = q + 1
+    lhs = rhs = 0
+    for i in range(len(parts) - 1):
+        lhs += parts[i]
+        rhs += n - parts[i + 1]
+        if lhs <= rhs:
+            rows.append(i + 2)
+            lhs = rhs = 0
+    if lhs > rhs:
+        raise NotStartVectorError(f"splitting recursion ran off the grid for {parts}")
     return tuple(rows)
 
 
@@ -116,16 +110,27 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     Between consecutive splitting rows q < q' the counts are n - parts[j] for
     the interior rows j, and the count at q' is whatever remains of the block
     total sum(parts[q..q'-1]).  Row 1 never holds forbidden cells.
+
+    Computed in the forward block scan of `splitting_rows_parts`, without
+    building the rows: each step adds parts[i] to lhs and f = n - parts[i+1]
+    to rhs.  While lhs > rhs the block stays open and row i+1 (0-based) is
+    interior, so it gets f; otherwise the block closes there and row i+1 gets
+    the remainder lhs - (rhs - f).  Raises NotStartVectorError where
+    `splitting_rows_parts` does.
     """
-    rows = splitting_rows_parts(parts, n)
-    end = [0] * len(parts)
-    for k in range(len(rows) - 1):
-        qk, qk1 = rows[k], rows[k + 1]
-        interior = 0
-        for j in range(qk + 1, qk1):
-            end[j - 1] = n - parts[j - 1]
-            interior += end[j - 1]
-        end[qk1 - 1] = sum(parts[qk - 1 : qk1 - 1]) - interior
+    end = [0]
+    lhs = rhs = 0
+    for i in range(len(parts) - 1):
+        lhs += parts[i]
+        f = n - parts[i + 1]
+        rhs += f
+        if lhs > rhs:
+            end.append(f)
+        else:
+            end.append(lhs - rhs + f)
+            lhs = rhs = 0
+    if lhs > rhs:
+        raise NotStartVectorError(f"splitting recursion ran off the grid for {parts}")
     return tuple(end)
 
 

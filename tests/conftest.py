@@ -64,7 +64,10 @@ def brute_is_start(parts, n):
 
 
 def literal_splitting_rows(parts, n):
-    """Splitting rows by the literal recursive rule, recomputing every sum."""
+    """Splitting rows by the literal recursive rule, recomputing every sum.
+
+    None when some splitting row has no next one, which no start vector allows.
+    """
     m = len(parts)
     rows = [1]
     p = 1
@@ -76,10 +79,31 @@ def literal_splitting_rows(parts, n):
             if lhs <= rhs:
                 found = q
                 break
-        assert found is not None, f"no next splitting row from {p} for {parts}"
+        if found is None:
+            return None
         rows.append(found + 1)
         p = found + 1
     return tuple(rows)
+
+
+def literal_end_vector(parts, n):
+    """End vector from the literal splitting rows and plain block sums: the
+    interior rows j of a block q < j < q' get n - parts[j], row q' gets the
+    rest of the block total sum(parts[q..q'-1]) (1-based), row 1 gets 0.
+
+    None where `literal_splitting_rows` is None.
+    """
+    rows = literal_splitting_rows(parts, n)
+    if rows is None:
+        return None
+    end = [0] * len(parts)
+    for q, q_next in zip(rows, rows[1:]):
+        interior = range(q + 1, q_next)
+        for j in interior:
+            end[j - 1] = n - parts[j - 1]
+        block_total = sum(parts[i - 1] for i in range(q, q_next))
+        end[q_next - 1] = block_total - sum(n - parts[j - 1] for j in interior)
+    return tuple(end)
 
 
 def brute_level_sizes(m, n):

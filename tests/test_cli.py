@@ -118,6 +118,22 @@ class TestPsiCommand:
         assert payload["psi"] == [5, 0, 2, 0]
         assert payload["involution_ok"] is True
 
+    def test_image_outside_starting_set_exits_2(self, capsys, monkeypatch):
+        # a wrong end vector sends psi((1, 0)) to (0, 1), which is no start
+        # vector: the input was good, so this is a failed check
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        code, out, err = run(capsys, "psi", "--alpha", "1,0", "-n", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: psi image of (1, 0) rejected: ")
+
+    def test_input_not_a_start_vector_exits_1(self, capsys):
+        code, out, err = run(capsys, "psi", "--alpha", "2,2,0", "-n", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: (2, 2, 0) is not a start vector for n=2\n"
+
 
 class TestVerifyCommand:
     def test_oracle_pass(self, capsys):

@@ -17,7 +17,7 @@ from scdposet import (
 )
 from scdposet.starts import is_start_parts, iter_start_parts
 
-from conftest import all_parts
+from conftest import all_parts, literal_end_vector
 
 # Grids far too large to enumerate, where every operation below is O(m).  Half
 # the vectors take only the parts 0, 1, n-1 and n, so that the block sums of
@@ -129,9 +129,11 @@ class TestLargeGrids:
     @settings(max_examples=50, deadline=None)
     @given(large_compositions)
     def test_locate_element_at_and_psi(self, c):
-        # is_start_parts(locate_parts(c)), element_at(locate(c), rank(c) - rank(locate(c))) == c,
+        # is_start_parts(locate_parts(c)), the end vector against the literal
+        # block sums, element_at(locate(c), rank(c) - rank(locate(c))) == c,
         # and psi(psi(a)) == a, checked on one drawn composition
         assert is_start_parts(locate_parts(c.parts, c.shape.n), c.shape.n)
         sv = locate(c)
+        assert sv.end == literal_end_vector(sv.parts, c.shape.n)
         assert element_at(sv, rank(c) - rank(sv.alpha)) == c
         assert psi(psi(sv)) == sv

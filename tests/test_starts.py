@@ -20,7 +20,7 @@ from scdposet import (
 )
 from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts, splitting_rows_parts
 
-from conftest import all_parts, brute_is_start, literal_splitting_rows
+from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_splitting_rows
 
 
 class TestIsStart:
@@ -108,6 +108,11 @@ class TestAlphaEnd:
             assert twin == sv and hash(twin) == hash(sv) and repr(twin) == repr(sv)
         assert repr(StartVector.of((1, 0), 2)) == "StartVector(alpha=Composition(shape=GridShape(m=2, n=2), parts=(1, 0)))"
 
+    def test_matches_literal_block_sums(self, small_shape):
+        n = small_shape.n
+        for parts in iter_start_parts(small_shape):
+            assert alpha_end_parts(parts, n) == literal_end_vector(parts, n), parts
+
     def test_computed_once_per_start_vector(self, monkeypatch):
         # StartVector construction is the one production site of the end
         # vector; chains, psi, certificates, verify and render read `.end`
@@ -163,6 +168,32 @@ class TestAlphaEnd:
                         assert lhs > rhs, (parts, qk, qk1, j)
                     else:
                         assert lhs <= rhs, (parts, qk, qk1, j)
+
+
+class TestBlockScanRaises:
+    def test_last_block_never_closes(self):
+        # (1, 1, 0), n = 1: the block opened at row 1 is still open at row 3
+        with pytest.raises(NotStartVectorError):
+            splitting_rows_parts((1, 1, 0), 1)
+        with pytest.raises(NotStartVectorError):
+            alpha_end_parts((1, 1, 0), 1)
+
+    @pytest.mark.parametrize("m, n", [mn for mn in SMALL_SHAPES if mn[0] <= 4])
+    def test_raises_exactly_where_literal_recursion_stops(self, m, n):
+        # every composition, start vector or not
+        stopped = 0
+        for parts in all_parts(m, n):
+            rows = literal_splitting_rows(parts, n)
+            if rows is None:
+                stopped += 1
+                with pytest.raises(NotStartVectorError):
+                    splitting_rows_parts(parts, n)
+                with pytest.raises(NotStartVectorError):
+                    alpha_end_parts(parts, n)
+            else:
+                assert splitting_rows_parts(parts, n) == rows, parts
+                assert alpha_end_parts(parts, n) == literal_end_vector(parts, n), parts
+        assert stopped > 0 or m == 1
 
 
 class TestPsi:
