@@ -14,6 +14,7 @@ import sys
 from .core import Composition, GridShape, format_parts, parse_parts
 from .decompose import (
     DEFAULT_CAP,
+    MAX_STATS_WORK,
     SAMPLE_STARTS,
     decompose,
     level_sizes,
@@ -177,6 +178,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "stats":
         shape = GridShape(args.m, args.n)
+        work = shape.m * shape.top_rank
+        if work > MAX_STATS_WORK:
+            raise ValueError(f"m*m*n = {work} exceeds the stats limit of {MAX_STATS_WORK}")
         profile = level_sizes(shape)
         _emit(
             {

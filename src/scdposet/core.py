@@ -3,29 +3,73 @@
 The poset under study is the set of integer vectors ("compositions") with m
 parts, each part between 0 and n, ordered componentwise and graded by part
 sum.  Everything here is an immutable value type or a pure function, so
-objects can be shared freely across threads.
+objects can be shared freely across threads and pickled across processes.
+
+The value types of the package are hand-written slot classes, not classes
+generated by a decorator: every CLI command imports them, and on Python 3.11
+importing the standard library's class generator (which pulls in `inspect`,
+`ast` and `tokenize`) and exec'ing the methods it generates for each class
+cost about 20 ms per process start, where byte-compiled methods cost
+nothing.  Each class writes out its `__init__`, `__eq__`, `__hash__` and
+`__repr__` in the generated form: equality and hashing act on the tuple of
+fields, so identical fields skip their own `__eq__`.  `__init__` sets the
+fields with `object.__setattr__` and then calls `self.__post_init__()` by
+attribute lookup, so the construction checks can be wrapped on the class.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 # Shapes with more cells than this are refused at construction, so an absurd
 # -m/-n fails at once instead of starting work no run could finish.  Python
 # ints need no such bound; this is a sanity limit, not an overflow guard.
 MAX_CELLS = 2**31
 
+_set = object.__setattr__  # assigns a field of a frozen value, bypassing its refusal
+
 
 class ShapeMismatchError(ValueError):
     """Raised when two compositions from different grids are combined."""
 
 
-@dataclass(frozen=True, slots=True)
-class GridShape:
+class Frozen:
+    """Base of the immutable value types: no assignment or deletion after `__init__`.
+
+    Pickling and copying rebuild the value through its constructor from the
+    fields in `__slots__` order, so the construction checks run again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+
+
+class GridShape(Frozen):
     """An m-by-n grid: vectors with m parts, each part in [0, n]."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
+
+    def __init__(self, m: int, n: int) -> None:
+        _set(self, "m", m)
+        _set(self, "n", n)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.m, self.n) == (other.m, other.n)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.m, self.n))
+
+    def __repr__(self):
+        return f"GridShape(m={self.m!r}, n={self.n!r})"
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -44,12 +88,26 @@ class GridShape:
         return (self.n + 1) ** self.m
 
 
-@dataclass(frozen=True, slots=True)
-class Composition:
+class Composition(Frozen):
     """An element of the grid poset: m parts, each in [0, n]."""
 
-    shape: GridShape
-    parts: tuple[int, ...]
+    __slots__ = ("shape", "parts")
+
+    def __init__(self, shape: GridShape, parts: tuple[int, ...]) -> None:
+        _set(self, "shape", shape)
+        _set(self, "parts", parts)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.parts) == (other.shape, other.parts)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.shape, self.parts))
+
+    def __repr__(self):
+        return f"Composition(shape={self.shape!r}, parts={self.parts!r})"
 
     def __post_init__(self) -> None:
         if len(self.parts) != self.shape.m:

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from itertools import accumulate, islice, product
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, GridShape
+from .core import Composition, Frozen, GridShape, _set
 from .locate import locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
@@ -30,13 +29,33 @@ DEFAULT_CAP = 1_000_000
 SAMPLE_STARTS = 512
 POSITIONS_PER_CHAIN = 64
 
+# The CLI refuses `stats` when m*m*n exceeds this, before `level_sizes` runs:
+# the profile costs O(m*m*n) big-int additions and its output O(m*n) numbers.
+# At the limit the slowest measured shape, m = 2 and n = 250,000, took 1.0 s
+# end to end on a 2-vCPU VM (Python 3.11.7); N(40, 2000), at 3.2 times the
+# limit, took 1.1 s to 1.5 s and N(200, 2000) did not finish in 20 s.
+MAX_STATS_WORK = 1_000_000
 
-@dataclass(frozen=True, slots=True)
-class LevelProfile:
+
+class LevelProfile(Frozen):
     """Number of compositions at each rank, 0..m*n."""
 
-    shape: GridShape
-    sizes: tuple[int, ...]
+    __slots__ = ("shape", "sizes")
+
+    def __init__(self, shape: GridShape, sizes: tuple[int, ...]) -> None:
+        _set(self, "shape", shape)
+        _set(self, "sizes", sizes)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.sizes) == (other.shape, other.sizes)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.shape, self.sizes))
+
+    def __repr__(self):
+        return f"LevelProfile(shape={self.shape!r}, sizes={self.sizes!r})"
 
     @property
     def middle(self) -> int:
@@ -104,14 +123,44 @@ def chain_length_histogram(shape: GridShape) -> dict[int, int]:
     return out
 
 
-@dataclass(slots=True)
 class CheckResult:
-    name: str
-    passed: bool
-    seconds: float = 0.0
-    counterexample: dict | None = None
-    skipped: bool = False
-    message: str = ""
+    """The outcome of one verify check; `verify` fills it in as the check runs."""
+
+    __slots__ = ("name", "passed", "seconds", "counterexample", "skipped", "message")
+
+    def __init__(
+        self,
+        name: str,
+        passed: bool,
+        seconds: float = 0.0,
+        counterexample: dict | None = None,
+        skipped: bool = False,
+        message: str = "",
+    ) -> None:
+        self.name = name
+        self.passed = passed
+        self.seconds = seconds
+        self.counterexample = counterexample
+        self.skipped = skipped
+        self.message = message
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.name, self.passed, self.seconds, self.counterexample, self.skipped, self.message) == (
+                other.name,
+                other.passed,
+                other.seconds,
+                other.counterexample,
+                other.skipped,
+                other.message,
+            )
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"CheckResult(name={self.name!r}, passed={self.passed!r}, seconds={self.seconds!r}, "
+            f"counterexample={self.counterexample!r}, skipped={self.skipped!r}, message={self.message!r})"
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -124,12 +173,38 @@ class CheckResult:
         }
 
 
-@dataclass(slots=True)
 class VerificationReport:
-    shape: GridShape
-    checks: list[CheckResult] = field(default_factory=list)
-    chain_count: int | None = None  # counted only when the starting set was fully enumerated
-    element_count: int | None = None
+    """Every check `verify` ran on one grid, in report order."""
+
+    __slots__ = ("shape", "checks", "chain_count", "element_count")
+
+    def __init__(
+        self,
+        shape: GridShape,
+        checks: list[CheckResult] | None = None,
+        chain_count: int | None = None,  # counted only when the starting set was fully enumerated
+        element_count: int | None = None,
+    ) -> None:
+        self.shape = shape
+        self.checks = [] if checks is None else checks
+        self.chain_count = chain_count
+        self.element_count = element_count
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.shape, self.checks, self.chain_count, self.element_count) == (
+                other.shape,
+                other.checks,
+                other.chain_count,
+                other.element_count,
+            )
+        return NotImplemented
+
+    def __repr__(self):
+        return (
+            f"VerificationReport(shape={self.shape!r}, checks={self.checks!r}, "
+            f"chain_count={self.chain_count!r}, element_count={self.element_count!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -192,15 +267,24 @@ def _positions(k: int, limit: int) -> list[int]:
     return sorted({round(i * step) for i in range(limit)})
 
 
-@dataclass(frozen=True, slots=True)
 class _StartValue:
     """One start's chain probe and greedy row counts, built once and read by every check."""
 
-    sv: StartVector
-    full: bool
-    at: Callable[[int], tuple[int, ...]]
-    positions: Sequence[int]
-    greedy: tuple[int, ...]
+    __slots__ = ("sv", "full", "at", "positions", "greedy")
+
+    def __init__(
+        self,
+        sv: StartVector,
+        full: bool,
+        at: Callable[[int], tuple[int, ...]],
+        positions: Sequence[int],
+        greedy: tuple[int, ...],
+    ) -> None:
+        self.sv = sv
+        self.full = full
+        self.at = at
+        self.positions = positions
+        self.greedy = greedy
 
 
 def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], tuple[int, ...]], Sequence[int]]:

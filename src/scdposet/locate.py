@@ -8,9 +8,7 @@ the rows where filling actually happened) with internal consistency checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Composition
+from .core import Composition, Frozen, _set
 from .starts import StartVector, splitting_rows_parts
 
 
@@ -48,17 +46,37 @@ def locate(c: Composition) -> StartVector:
     return StartVector(Composition(c.shape, locate_parts(c.parts, c.shape.n)))
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipCertificate:
+class MembershipCertificate(Frozen):
     """Evidence that a composition lies on the chain of `alpha`.
 
     fill_vector is the composition minus alpha; positive_set holds the
     1-based rows with positive fill, plus row m.
     """
 
-    alpha: StartVector
-    fill_vector: tuple[int, ...]
-    positive_set: frozenset[int]
+    __slots__ = ("alpha", "fill_vector", "positive_set")
+
+    def __init__(self, alpha: StartVector, fill_vector: tuple[int, ...], positive_set: frozenset[int]) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "fill_vector", fill_vector)
+        _set(self, "positive_set", positive_set)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.fill_vector, self.positive_set) == (
+                other.alpha,
+                other.fill_vector,
+                other.positive_set,
+            )
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.fill_vector, self.positive_set))
+
+    def __repr__(self):
+        return (
+            f"MembershipCertificate(alpha={self.alpha!r}, fill_vector={self.fill_vector!r}, "
+            f"positive_set={self.positive_set!r})"
+        )
 
 
 def certificate(c: Composition) -> MembershipCertificate:

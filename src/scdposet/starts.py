@@ -18,10 +18,9 @@ everything that reads the end vector of a certified start reads that field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .core import Composition, GridShape
+from .core import Composition, Frozen, GridShape, _set
 
 
 class NotStartVectorError(ValueError):
@@ -47,23 +46,39 @@ def is_start_parts(parts: tuple[int, ...], n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class StartVector:
+class StartVector(Frozen):
     """A composition certified to be a chain start, with its end vector.
 
     `end` holds the per-row forbidden-cell counts (`alpha_end_parts`); the
     chain of `alpha` ends at (n - end[0], ..., n - end[m-1]).  It is derived
-    from `alpha`, so it takes no part in equality, hashing or repr.
+    from `alpha`, so it takes no part in equality, hashing, repr or pickling.
     """
 
-    alpha: Composition
-    end: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("alpha", "end")
+
+    def __init__(self, alpha: Composition) -> None:
+        _set(self, "alpha", alpha)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha,) == (other.alpha,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha,))
+
+    def __repr__(self):
+        return f"StartVector(alpha={self.alpha!r})"
+
+    def __reduce__(self):
+        return type(self), (self.alpha,)
 
     def __post_init__(self) -> None:
         parts, n = self.alpha.parts, self.alpha.shape.n
         if not is_start_parts(parts, n):
             raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
-        object.__setattr__(self, "end", alpha_end_parts(parts, n))
+        _set(self, "end", alpha_end_parts(parts, n))
 
     @classmethod
     def of(cls, parts, n: int) -> "StartVector":

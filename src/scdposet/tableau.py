@@ -25,9 +25,7 @@ and is the tests' reference for `greedy_counts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Composition, GridShape, rank
+from .core import Composition, Frozen, GridShape, _set, rank
 from .starts import StartVector
 
 
@@ -35,23 +33,61 @@ class TableauConstructionError(RuntimeError):
     """Greedy forbidden-cell placement ran out of grid; the input was not a start vector."""
 
 
-@dataclass(frozen=True, slots=True)
-class Fixed:
+class Fixed(Frozen):
     """Cell claimed by the start vector itself."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class Forbidden:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Fixed()"
+
+
+class Forbidden(Frozen):
     """Cell blocked by a source row above; source is 1-based, None if unknown."""
 
-    source: int | None = None
+    __slots__ = ("source",)
+
+    def __init__(self, source: int | None = None) -> None:
+        _set(self, "source", source)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.source,) == (other.source,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.source,))
+
+    def __repr__(self):
+        return f"Forbidden(source={self.source!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Fillable:
+class Fillable(Frozen):
     """Cell filled at position `order` (1-based) along the chain."""
 
-    order: int
+    __slots__ = ("order",)
+
+    def __init__(self, order: int) -> None:
+        _set(self, "order", order)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.order,) == (other.order,)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.order,))
+
+    def __repr__(self):
+        return f"Fillable(order={self.order!r})"
 
 
 CellState = Fixed | Forbidden | Fillable
@@ -124,12 +160,25 @@ def greedy_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(forbidden)
 
 
-@dataclass(frozen=True, slots=True)
-class ChainTableau:
+class ChainTableau(Frozen):
     """The colored grid of a start vector."""
 
-    alpha: StartVector
-    cells: Cells
+    __slots__ = ("alpha", "cells")
+
+    def __init__(self, alpha: StartVector, cells: Cells) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "cells", cells)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.cells) == (other.alpha, other.cells)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.cells))
+
+    def __repr__(self):
+        return f"ChainTableau(alpha={self.alpha!r}, cells={self.cells!r})"
 
     @property
     def shape(self) -> GridShape:
@@ -146,8 +195,7 @@ def alpha_end_from_tableau(t: ChainTableau) -> tuple[int, ...]:
     return tuple(sum(1 for cell in row if isinstance(cell, Forbidden)) for row in t.cells)
 
 
-@dataclass(frozen=True, slots=True)
-class Chain:
+class Chain(Frozen):
     """A saturated chain of the decomposition, fully materialized.
 
     `elements` are parts tuples in increasing rank, from `alpha.parts` to the
@@ -155,8 +203,22 @@ class Chain:
     whose `alpha.end` is the end vector the walk read.
     """
 
-    alpha: StartVector
-    elements: tuple[tuple[int, ...], ...]
+    __slots__ = ("alpha", "elements")
+
+    def __init__(self, alpha: StartVector, elements: tuple[tuple[int, ...], ...]) -> None:
+        _set(self, "alpha", alpha)
+        _set(self, "elements", elements)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.alpha, self.elements) == (other.alpha, other.elements)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.alpha, self.elements))
+
+    def __repr__(self):
+        return f"Chain(alpha={self.alpha!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -282,6 +282,23 @@ class TestStatsCommand:
         assert payload["chain_count"] == 7
         assert payload["chain_length_histogram"] == {"7": 1, "5": 2, "3": 3, "1": 1}
 
+    def test_oversized_shape_refused_before_level_sizes(self, capsys, monkeypatch):
+        def refuse(shape):
+            raise AssertionError(f"level sizes computed for {shape}")
+
+        monkeypatch.setattr(cli, "level_sizes", refuse)
+        code, out, err = run(capsys, "stats", "-m", "2", "-n", "1000000000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "stats limit" in err
+
+    def test_work_limit_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_STATS_WORK", 18)
+        code, out, _ = run(capsys, "stats", "-m", "3", "-n", "2")
+        assert code == 0 and json.loads(out)["chain_count"] == 7
+        code, _, err = run(capsys, "stats", "-m", "3", "-n", "3")
+        assert code == 1 and err == "error: m*m*n = 27 exceeds the stats limit of 18\n"
+
 
 class TestArgumentErrors:
     def test_missing_required_flag(self, capsys):
@@ -360,11 +377,13 @@ def test_readme_python_examples_hold():
 
 
 def test_import_loads_no_process_machinery():
-    # every command pays for what `import scdposet.cli` pulls in
+    # every command pays for what `import scdposet.cli` pulls in; the value
+    # types are written out by hand so that `dataclasses` and the `inspect`
+    # it imports stay unloaded
     src = str(Path(scdposet.__file__).resolve().parents[1])
     probe = (
         "import sys, scdposet.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True

@@ -2,7 +2,6 @@ import importlib
 import json
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from math import comb
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 import scdposet.starts
 import scdposet.tableau
 from scdposet import (
+    Chain,
     Composition,
     GridShape,
     chain_length_histogram,
@@ -156,7 +156,7 @@ class TestVerify:
         chains = list(decompose(shape))
         stolen = chains[0].elements[1]
         victim = chains[1]
-        chains[1] = replace(victim, elements=victim.elements[:-1] + (stolen,))
+        chains[1] = Chain(victim.alpha, victim.elements[:-1] + (stolen,))
         result = check_partition(shape, chains)
         assert not result.passed
         assert result.counterexample["element"] == list(stolen)
@@ -165,7 +165,7 @@ class TestVerify:
         shape = GridShape(3, 2)
         chains = list(decompose(shape))
         victim = chains[0]
-        chains[0] = replace(victim, elements=victim.elements[:-1])
+        chains[0] = Chain(victim.alpha, victim.elements[:-1])
         result = check_partition(shape, chains)
         assert not result.passed
         assert result.counterexample["element"] == list(victim.elements[-1])
