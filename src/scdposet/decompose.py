@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice
 from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -22,6 +22,9 @@ from .locate import locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
 
+# The largest poset, (n+1)**m compositions, that `verify` checks exhaustively.
+# The partition oracle's claim table costs 4 bytes per composition, 4 MB at
+# this cap; past it the oracle is refused and the other checks are sampled.
 DEFAULT_CAP = 1_000_000
 
 # Sampled-mode budgets: how many starts to sample, and how many chain
@@ -230,33 +233,55 @@ class VerificationReport:
 def check_partition(shape: GridShape, chains: Iterable[Chain]) -> CheckResult:
     """Exhaustive partition oracle: every composition on exactly one chain.
 
-    Walks the given chains into a membership index, flagging the first
-    duplicate, then enumerates all (n+1)**m compositions and flags the first
-    one missing.  Cost is linear in the poset size.
+    The oracle owns one flat table of `shape.size` unsigned 4-byte slots, one
+    per composition, at its mixed-radix index: parts read as the digits of a
+    base-(n+1) number, first part most significant.  Each chain element
+    claims its slot with 1 + the ordinal of its chain; an element of the
+    wrong length or with a part outside [0, n] fails before it is indexed,
+    and a slot already claimed is the first duplicate.  The first slot left
+    unclaimed, decoded to parts, is the first missing composition in
+    lexicographic order.  Cost is linear in the poset size, 4 bytes per
+    composition plus one start tuple per chain, so the caller bounds
+    `shape.size` first (as `verify` does with its cap).
     """
+    # imported here: loading the extension module costs every other command
+    # about 0.15 MB of RSS and 0.3 ms of start-up
+    from array import array
+
     t0 = time.perf_counter()
-    index: dict[tuple[int, ...], tuple[int, ...]] = {}
+    m, n = shape.m, shape.n
+    base = n + 1
+    owner = array("I", bytes(4 * shape.size))
+    alphas: list[tuple[int, ...]] = []
     for ch in chains:
         aparts = ch.alpha.parts
+        alphas.append(aparts)
+        tag = len(alphas)
         for el in ch.elements:
-            prev = index.get(el)
-            if prev is not None:
-                return CheckResult(
-                    "partition",
-                    False,
-                    time.perf_counter() - t0,
-                    {"element": list(el), "chains": [list(prev), list(aparts)]},
-                )
-            index[el] = aparts
-    for parts in product(range(shape.n + 1), repeat=shape.m):
-        if parts not in index:
-            return CheckResult(
-                "partition",
-                False,
-                time.perf_counter() - t0,
-                {"element": list(parts), "chains": []},
-            )
-    return CheckResult("partition", True, time.perf_counter() - t0)
+            if len(el) != m:
+                return _partition_failure(t0, el, aparts)
+            i = 0
+            for p in el:
+                if p < 0 or p > n:
+                    return _partition_failure(t0, el, aparts)
+                i = i * base + p
+            prev = owner[i]
+            if prev:
+                return _partition_failure(t0, el, alphas[prev - 1], aparts)
+            owner[i] = tag
+    try:
+        i = owner.index(0)
+    except ValueError:
+        return CheckResult("partition", True, time.perf_counter() - t0)
+    missing = [0] * m
+    for j in range(m - 1, -1, -1):
+        i, missing[j] = divmod(i, base)
+    return _partition_failure(t0, missing)
+
+
+def _partition_failure(t0: float, element: Iterable[int], *alphas: tuple[int, ...]) -> CheckResult:
+    counterexample = {"element": list(element), "chains": [list(a) for a in alphas]}
+    return CheckResult("partition", False, time.perf_counter() - t0, counterexample)
 
 
 def _positions(k: int, limit: int) -> list[int]:

@@ -379,11 +379,11 @@ def test_readme_python_examples_hold():
 def test_import_loads_no_process_machinery():
     # every command pays for what `import scdposet.cli` pulls in; the value
     # types are written out by hand so that `dataclasses` and the `inspect`
-    # it imports stay unloaded
+    # it imports stay unloaded, and only the partition oracle loads `array`
     src = str(Path(scdposet.__file__).resolve().parents[1])
     probe = (
         "import sys, scdposet.cli; "
-        "print([m for m in ('multiprocessing', 'concurrent.futures', 'dataclasses', 'inspect') if m in sys.modules])"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'dataclasses', 'inspect', 'array') if m in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True

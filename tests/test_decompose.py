@@ -1,7 +1,9 @@
 import importlib
 import json
+import random
 import tracemalloc
 from collections import Counter
+from itertools import product
 from math import comb
 
 import pytest
@@ -302,6 +304,103 @@ class TestVerify:
         assert not involution.passed
         assert involution.counterexample["reason"] == "rotated tableau differs"
         assert involution.counterexample["alpha"] == [0, 1, 0]
+
+
+def reference_partition(m, n, chains):
+    """The partition verdict from definitions: a dict from element to start,
+    filled in chain order, then a lexicographic sweep of the grid."""
+    owner = {}
+    for ch in chains:
+        alpha = list(ch.alpha.parts)
+        for el in ch.elements:
+            if len(el) != m or any(p < 0 or p > n for p in el):
+                return False, {"element": list(el), "chains": [alpha]}
+            if el in owner:
+                return False, {"element": list(el), "chains": [owner[el], alpha]}
+            owner[el] = alpha
+    for parts in product(range(n + 1), repeat=m):
+        if parts not in owner:
+            return False, {"element": list(parts), "chains": []}
+    return True, None
+
+
+def mutations(chains, rng):
+    """Seeded tamperings of a decomposition, by name."""
+    pick = rng.randrange
+    a = pick(len(chains))
+    b = (a + 1 + pick(len(chains) - 1)) % len(chains) if len(chains) > 1 else None
+
+    def edited(edits):
+        out = list(chains)
+        for i, elements in edits.items():
+            out[i] = Chain(chains[i].alpha, elements)
+        return out
+
+    ea = chains[a].elements
+    ja = pick(len(ea))
+    yield "none", list(chains)
+    yield "drop one", edited({a: ea[:ja] + ea[ja + 1 :]})
+    yield "duplicate one", edited({a: ea + (ea[ja],)})
+    if b is not None:
+        eb = chains[b].elements
+        jb = pick(len(eb))
+        yield "duplicate into another", edited({b: eb + (ea[ja],)})
+        yield "move one", edited({a: ea[:ja] + ea[ja + 1 :], b: eb[:jb] + (ea[ja],) + eb[jb:]})
+        yield "drop two", edited({a: ea[:ja] + ea[ja + 1 :], b: eb[:jb] + eb[jb + 1 :]})
+
+
+class TestPartitionOracle:
+    @pytest.mark.parametrize(
+        "extra",
+        [(1, 2), (1, 1, 0), (1,), (-1, 1)],
+        ids=["part-above-n", "too-long", "too-short", "negative-part"],
+    )
+    def test_element_outside_grid_fails(self, extra):
+        shape = GridShape(2, 1)
+        chains = list(decompose(shape))
+        first = chains[0]
+        chains[0] = Chain(first.alpha, first.elements + (extra,))
+        result = check_partition(shape, chains)
+        assert not result.passed
+        assert result.counterexample == {"element": list(extra), "chains": [list(first.alpha.parts)]}
+
+    def test_negative_part_does_not_wrap_to_the_last_slot(self):
+        # (0, -1) would index the slot of (1, 0) from the end if not refused;
+        # drop (1, 1) so only the wrap could make the grid look covered
+        shape = GridShape(2, 1)
+        chains = [Chain(ch.alpha, tuple(el for el in ch.elements if el != (1, 1))) for ch in decompose(shape)]
+        chains[0] = Chain(chains[0].alpha, chains[0].elements + ((0, -1),))
+        result = check_partition(shape, chains)
+        assert not result.passed
+        assert result.counterexample["element"] == [0, -1]
+
+    def test_counterexamples_match_reference(self, small_shape):
+        m, n = small_shape.m, small_shape.n
+        chains = list(decompose(small_shape))
+        seen = Counter()
+        for seed in range(6):
+            for name, tampered in mutations(chains, random.Random(seed)):
+                got = check_partition(small_shape, tampered)
+                assert (got.passed, got.counterexample) == reference_partition(m, n, tampered), (name, seed)
+                assert got.name == "partition" and not got.skipped and got.message == ""
+                seen[name, got.passed] += 1
+        assert seen["none", True] == 6
+        for name in ("drop one", "duplicate one"):
+            assert seen[name, False] == 6
+        if len(chains) > 1:
+            assert seen["duplicate into another", False] == seen["drop two", False] == 6
+            assert seen["move one", True] == 6
+
+    def test_memory_stays_flat(self):
+        shape = GridShape(8, 3)
+        tracemalloc.start()
+        try:
+            result = check_partition(shape, decompose(shape))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 2 * 2**20, f"partition oracle peaked at {peak} bytes traced"
 
 
 class TestAgainstDeBruijnTengbergenKruyswijk:
