@@ -3,9 +3,10 @@
 `decompose` streams every chain of the grid without ever materializing the
 poset.  `verify` checks the decomposition's defining properties end to end,
 against an exhaustive membership oracle when the poset is small enough, and
-against deterministic samples otherwise.  The per-chain checks run in one
-pass over the starts, in one process: each start's chain and greedy row
-counts are built once and read by every check, as plain parts tuples.  No
+against deterministic samples otherwise.  The partition claims and the
+per-chain checks run in one streaming pass over the starts, in one process:
+each start's chain and greedy row counts are built once and read by every
+check, as plain parts tuples, and the starts are counted, never listed.  No
 check colours a cell grid, so the pass is the same at every grid size.
 """
 
@@ -15,6 +16,7 @@ import random
 import time
 from itertools import accumulate, islice
 from math import comb
+from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, Frozen, GridShape, _set
@@ -230,58 +232,101 @@ class VerificationReport:
         }
 
 
+class _ClaimTable:
+    """The partition oracle's table: one unsigned 4-byte slot per composition.
+
+    A composition's slot is its mixed-radix index: parts read as the digits
+    of a base-(n+1) number, first part most significant.  Each chain element
+    claims its slot with 1 + the index of its chain's start, so an owner
+    decodes back to that start and the table needs nothing per chain.  The
+    first slot left unclaimed, decoded to parts, is the first missing
+    composition in lexicographic order.  Cost is 4 bytes per composition,
+    so the caller bounds `shape.size` first (as `verify` does with its cap).
+    """
+
+    __slots__ = ("m", "n", "owner")
+
+    def __init__(self, shape: GridShape) -> None:
+        # imported here: loading the extension module costs every other
+        # command about 0.15 MB of RSS and 0.3 ms of start-up
+        from array import array
+
+        self.m, self.n = shape.m, shape.n
+        self.owner = array("I", bytes(4 * shape.size))
+
+    def claim(self, alpha: tuple[int, ...], elements: Iterable[tuple[int, ...]]) -> dict | None:
+        """Claim `elements` for the chain of `alpha`.
+
+        Returns the counterexample at the first element (or start) outside
+        the grid, or at the first element already claimed; None if every
+        element was claimed.
+        """
+        m, n, owner = self.m, self.n, self.owner
+        start = _slot(alpha, m, n)
+        if start is None:
+            return _partition_counterexample(alpha, alpha)
+        for el in elements:
+            i = _slot(el, m, n)
+            if i is None:
+                return _partition_counterexample(el, alpha)
+            prev = owner[i]
+            if prev:
+                return _partition_counterexample(el, self._parts(prev - 1), alpha)
+            owner[i] = start + 1
+        return None
+
+    def missing(self) -> dict | None:
+        """The counterexample at the first composition no chain claimed, or None."""
+        try:
+            i = self.owner.index(0)
+        except ValueError:
+            return None
+        return _partition_counterexample(self._parts(i))
+
+    def _parts(self, i: int) -> list[int]:
+        base = self.n + 1
+        parts = [0] * self.m
+        for j in range(self.m - 1, -1, -1):
+            i, parts[j] = divmod(i, base)
+        return parts
+
+
+def _slot(parts: tuple[int, ...], m: int, n: int) -> int | None:
+    """Mixed-radix index of `parts` in N(m, n); None if it has the wrong
+    length or a part outside [0, n], which must not be indexed."""
+    if len(parts) != m:
+        return None
+    base = n + 1
+    i = 0
+    for p in parts:
+        if p < 0 or p > n:
+            return None
+        i = i * base + p
+    return i
+
+
+def _partition_counterexample(element: Iterable[int], *alphas: Iterable[int]) -> dict:
+    return {"element": list(element), "chains": [list(a) for a in alphas]}
+
+
 def check_partition(shape: GridShape, chains: Iterable[Chain]) -> CheckResult:
     """Exhaustive partition oracle: every composition on exactly one chain.
 
-    The oracle owns one flat table of `shape.size` unsigned 4-byte slots, one
-    per composition, at its mixed-radix index: parts read as the digits of a
-    base-(n+1) number, first part most significant.  Each chain element
-    claims its slot with 1 + the ordinal of its chain; an element of the
-    wrong length or with a part outside [0, n] fails before it is indexed,
-    and a slot already claimed is the first duplicate.  The first slot left
-    unclaimed, decoded to parts, is the first missing composition in
-    lexicographic order.  Cost is linear in the poset size, 4 bytes per
-    composition plus one start tuple per chain, so the caller bounds
-    `shape.size` first (as `verify` does with its cap).
+    Claims each chain's elements in a `_ClaimTable`, as `verify`'s pass
+    does: the first element outside the grid or already claimed fails, and
+    otherwise the first composition left unclaimed.  Cost is linear in the
+    poset size and 4 bytes per composition, so the caller bounds
+    `shape.size` first.
     """
-    # imported here: loading the extension module costs every other command
-    # about 0.15 MB of RSS and 0.3 ms of start-up
-    from array import array
-
     t0 = time.perf_counter()
-    m, n = shape.m, shape.n
-    base = n + 1
-    owner = array("I", bytes(4 * shape.size))
-    alphas: list[tuple[int, ...]] = []
+    claims = _ClaimTable(shape)
     for ch in chains:
-        aparts = ch.alpha.parts
-        alphas.append(aparts)
-        tag = len(alphas)
-        for el in ch.elements:
-            if len(el) != m:
-                return _partition_failure(t0, el, aparts)
-            i = 0
-            for p in el:
-                if p < 0 or p > n:
-                    return _partition_failure(t0, el, aparts)
-                i = i * base + p
-            prev = owner[i]
-            if prev:
-                return _partition_failure(t0, el, alphas[prev - 1], aparts)
-            owner[i] = tag
-    try:
-        i = owner.index(0)
-    except ValueError:
-        return CheckResult("partition", True, time.perf_counter() - t0)
-    missing = [0] * m
-    for j in range(m - 1, -1, -1):
-        i, missing[j] = divmod(i, base)
-    return _partition_failure(t0, missing)
-
-
-def _partition_failure(t0: float, element: Iterable[int], *alphas: tuple[int, ...]) -> CheckResult:
-    counterexample = {"element": list(element), "chains": [list(a) for a in alphas]}
-    return CheckResult("partition", False, time.perf_counter() - t0, counterexample)
+        bad = claims.claim(ch.alpha.parts, ch.elements)
+        if bad is not None:
+            break
+    else:
+        bad = claims.missing()
+    return CheckResult("partition", bad is None, time.perf_counter() - t0, bad)
 
 
 def _positions(k: int, limit: int) -> list[int]:
@@ -293,34 +338,32 @@ def _positions(k: int, limit: int) -> list[int]:
 
 
 class _StartValue:
-    """One start's chain probe and greedy row counts, built once and read by every check."""
+    """One start's chain and greedy row counts, built once and read by every check.
 
-    __slots__ = ("sv", "full", "at", "positions", "greedy")
+    Full mode holds the whole chain in `elements` and probes every position;
+    sampled mode leaves `elements` None and probes a bounded set of
+    positions by O(m) random access through `at`.
+    """
+
+    __slots__ = ("sv", "elements", "at", "positions", "greedy")
 
     def __init__(
         self,
         sv: StartVector,
-        full: bool,
+        elements: tuple[tuple[int, ...], ...] | None,
         at: Callable[[int], tuple[int, ...]],
         positions: Sequence[int],
         greedy: tuple[int, ...],
     ) -> None:
         self.sv = sv
-        self.full = full
+        self.elements = elements
         self.at = at
         self.positions = positions
         self.greedy = greedy
 
 
-def _probe(sv: StartVector, full: bool) -> tuple[Callable[[int], tuple[int, ...]], Sequence[int]]:
-    """Element accessor and probe positions for the chain of `sv`, as parts tuples.
-
-    Full mode materializes the chain and probes every position; sampled mode
-    probes a bounded set of positions by O(m) random access.
-    """
-    if full:
-        elements = chain_elements(sv).elements
-        return elements.__getitem__, range(len(elements))
+def _sampled_probe(sv: StartVector) -> tuple[Callable[[int], tuple[int, ...]], list[int]]:
+    """Element accessor and bounded probe positions for the chain of `sv`."""
     positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
     return (lambda j: element_at(sv, j).parts), positions
 
@@ -347,19 +390,22 @@ def _check_symmetric(v: _StartValue) -> dict | None:
 
 def _check_saturated(v: _StartValue) -> dict | None:
     """Consecutive probed elements differ by one unit vector."""
-    for j in v.positions[:-1]:
-        a, b = v.at(j), v.at(j + 1)
-        if sum(b) - sum(a) != 1 or any(y < x for x, y in zip(a, b)):
+    if v.elements is None:
+        steps = ((v.at(j), v.at(j + 1)) for j in v.positions[:-1])
+    else:
+        steps = zip(v.elements, islice(v.elements, 1, None))
+    for a, b in steps:
+        if sum(b) - sum(a) != 1 or not all(map(le, a, b)):
             return {"alpha": list(v.sv.parts), "low": list(a), "high": list(b)}
     return None
 
 
 def _check_disjoint(v: _StartValue) -> dict | None:
-    for j in v.positions:
-        el = v.at(j)
-        back = locate_parts(el, v.sv.shape.n)
-        if back != v.sv.parts:
-            return {"alpha": list(v.sv.parts), "element": list(el), "located": list(back)}
+    parts, n = v.sv.parts, v.sv.shape.n
+    for el in map(v.at, v.positions) if v.elements is None else v.elements:
+        back = locate_parts(el, n)
+        if back != parts:
+            return {"alpha": list(parts), "element": list(el), "located": list(back)}
     return None
 
 
@@ -369,7 +415,13 @@ def _check_involution(v: _StartValue) -> dict | None:
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
     the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
     greedy end vectors of alpha and psi(alpha).  An image outside the
-    starting set is a counterexample, not an error."""
+    starting set is a counterexample, not an error.
+
+    Both the second half-turn identity and the reversed-star comparison are
+    symmetric in alpha and psi(alpha), so full mode runs them once per pair,
+    at its lexicographically smaller start: the pass reaches that start
+    first, and a mismatch at the larger one is a mismatch at the smaller.
+    Sampled mode may not hold the partner, so it compares at every start."""
     parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
@@ -379,17 +431,27 @@ def _check_involution(v: _StartValue) -> dict | None:
         again = psi(image)
     except NotStartVectorError:
         return {"alpha": list(parts), "psi": list(image.parts), "reason": "psi(psi(alpha)) is not a start vector"}
+    iparts = image.parts
     if again.parts != parts:
-        return {"alpha": list(parts), "psi": list(image.parts), "psi_psi": list(again.parts)}
-    if image.parts[::-1] != v.greedy or greedy_counts(image.parts, n)[::-1] != parts:
-        return {"alpha": list(parts), "psi": list(image.parts), "reason": "rotated tableau differs"}
-    image_at, image_positions = _probe(image, v.full)
+        return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
+    elements = v.elements
+    compare = elements is None or parts <= iparts
+    if iparts[::-1] != v.greedy or (compare and greedy_counts(iparts, n)[::-1] != parts):
+        return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
+    if not compare:
+        return None
+    if elements is None:
+        image_at, image_positions = _sampled_probe(image)
+        pairs = ((image_at(j), v.at(v.positions[-1] - j)) for j in v.positions)
+    else:
+        image_elements = elements if iparts == parts else chain_elements(image).elements
+        image_positions = range(len(image_elements))
+        pairs = zip(image_elements, reversed(elements))
     if image_positions != v.positions:
-        return {"alpha": list(parts), "psi": list(image.parts), "reason": "chain is not the reversed star"}
-    last = v.positions[-1]
-    for j in v.positions:
-        if image_at(j) != tuple(n - p for p in reversed(v.at(last - j))):
-            return {"alpha": list(parts), "psi": list(image.parts), "reason": f"chain mismatch at position {j}"}
+        return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
+    for j, (got, mirrored) in zip(v.positions, pairs):
+        if got != tuple(map(n.__sub__, reversed(mirrored))):
+            return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     return None
 
 
@@ -410,35 +472,60 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 }
 
 
-def _run_chain_checks(shape: GridShape, starts: list[tuple[int, ...]], full: bool) -> list[CheckResult]:
-    """One pass over `starts`, running every per-chain check on each start's value.
+def _run_checks(
+    shape: GridShape, starts: Iterable[tuple[int, ...]], full: bool, oracle: bool
+) -> tuple[list[CheckResult], int]:
+    """One pass over `starts`, running every check on each start's value.
 
-    A check stops at its first counterexample in start order.  Each start's
-    value is charged to the first check still running, so the checks'
-    seconds add up to the wall time of the pass.
+    Full mode builds each start's chain once; with `oracle` the chain is
+    also claimed in the partition table, as a check ahead of the per-chain
+    ones.  A check stops at its first counterexample in start order, but
+    the pass reads the whole stream: `partition` claims every chain until
+    it fails, and every start is counted.  Each start's value is charged to
+    the first check still running, so the checks' seconds add up to the
+    wall time of the pass.  Returns the results in report order and the
+    number of starts.
     """
-    seconds = dict.fromkeys(_CHAIN_CHECKS, 0.0)
-    found: dict[str, dict] = {}
     clock = time.perf_counter
+    checks = _CHAIN_CHECKS
+    seconds = dict.fromkeys(checks, 0.0)
+    if oracle:
+        t0 = clock()
+        claims = _ClaimTable(shape)
+        checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
+        seconds = {"partition": clock() - t0, **seconds}
+    found: dict[str, dict] = {}
+    running = list(checks)
+    count = 0
+    n = shape.n
     for parts in starts:
-        running = [name for name in _CHAIN_CHECKS if name not in found]
+        count += 1
         if not running:
-            break
+            continue
         t0 = clock()
         sv = StartVector(Composition(shape, parts))
-        value = _StartValue(sv, full, *_probe(sv, full), greedy_counts(parts, shape.n))
+        if full:
+            elements = chain_elements(sv).elements
+            value = _StartValue(sv, elements, elements.__getitem__, range(len(elements)), greedy_counts(parts, n))
+        else:
+            value = _StartValue(sv, None, *_sampled_probe(sv), greedy_counts(parts, n))
         for name in running:
-            bad = _CHAIN_CHECKS[name](value)
+            bad = checks[name](value)
             t1 = clock()
             seconds[name] += t1 - t0
             t0 = t1
             if bad is not None:
                 found[name] = bad
-    note = "" if full else f"sampled {len(starts)} chains"
-    return [
-        CheckResult(name, name not in found, seconds[name], found.get(name), message=note)
-        for name in _CHAIN_CHECKS
-    ]
+        running = [name for name in running if name not in found]
+    if oracle and "partition" in running:
+        t0 = clock()
+        bad = claims.missing()
+        seconds["partition"] += clock() - t0
+        if bad is not None:
+            found["partition"] = bad
+    note = "" if full else f"sampled {count} chains"
+    results = [CheckResult(name, name not in found, seconds[name], found.get(name), message=note) for name in checks]
+    return results, count
 
 
 def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | None:
@@ -464,10 +551,12 @@ def verify(
 
     Oracle (exhaustive partition) mode requires the poset size (n+1)**m to
     stay within `cap`; past the cap it is refused with a message and the
-    remaining checks fall back to deterministic sampling.  Reports from
-    repeated runs are identical apart from timings.  A `sample` below 1 is
-    refused, since sampled checks over no chains would pass unexamined, and
-    so is a `cap` below 0.
+    remaining checks fall back to deterministic sampling.  Within the cap,
+    the partition claims, the per-chain checks and the start count share
+    one streaming pass that builds each chain once.  Reports from repeated
+    runs are identical apart from timings.  A `sample` below 1 is refused,
+    since sampled checks over no chains would pass unexamined, and so is a
+    `cap` below 0.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
@@ -477,7 +566,6 @@ def verify(
     poset_size = shape.size
     full = poset_size <= cap
 
-    # Partition needs the exhaustive oracle.
     if not use_oracle:
         report.checks.append(
             CheckResult("partition", True, skipped=True, message="oracle disabled by caller")
@@ -491,17 +579,13 @@ def verify(
                 message=f"poset size {poset_size} exceeds cap {cap}; oracle mode refused",
             )
         )
-    else:
-        report.checks.append(check_partition(shape, decompose(shape)))
 
+    starts = iter_start_parts(shape)
+    results, count = _run_checks(shape, starts if full else islice(starts, sample), full, use_oracle and full)
     if full:
-        starts = list(iter_start_parts(shape))
-        report.chain_count = len(starts)
+        report.chain_count = count
         report.element_count = poset_size
-    else:
-        starts = list(islice(iter_start_parts(shape), sample))
-
-    for result in _run_chain_checks(shape, starts, full):
+    for result in results:
         if result.name == "disjoint" and result.passed and not full:
             t0 = time.perf_counter()
             bad = _random_roundtrip(shape, sample)
@@ -524,7 +608,8 @@ def verify(
             )
         )
     else:
-        got = sum(1 for _ in islice(iter_start_parts(shape), expected + 1))
+        # within the cap the pass counted every start; past it only a sample
+        got = count if full else sum(1 for _ in islice(iter_start_parts(shape), expected + 1))
         report.checks.append(
             CheckResult(
                 "middle-rank-count",

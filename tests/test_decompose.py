@@ -14,6 +14,7 @@ from scdposet import (
     Chain,
     Composition,
     GridShape,
+    StartVector,
     chain_length_histogram,
     check_partition,
     decompose,
@@ -208,11 +209,11 @@ class TestVerify:
         assert a == b
 
     def test_full_mode_builds_each_chain_once_and_no_grid(self, monkeypatch):
-        # one value per start: its chain and greedy row counts, plus the
-        # partition oracle's chain and the psi image's chain; no cell grid is
-        # coloured, and chain elements stay plain tuples, so the only
-        # Compositions are those of the start, psi(start), psi(psi(start))
-        # and the oracle's start
+        # one value per start: its chain, which the partition oracle claims,
+        # and its greedy row counts, plus the psi image's chain once per pair
+        # of distinct starts; no cell grid is coloured, and chain elements
+        # stay plain tuples, so the only Compositions are those of the
+        # start, psi(start) and psi(psi(start))
         module = importlib.import_module("scdposet.decompose")
         built = Counter()
         fn = module.chain_elements
@@ -238,8 +239,8 @@ class TestVerify:
         assert report.passed
         starts = report.chain_count
         assert starts == 85
-        assert built["chain_elements"] <= 3 * starts
-        assert validated["compositions"] <= 4 * starts
+        assert built["chain_elements"] <= starts + (starts + 1) // 2
+        assert validated["compositions"] <= 3 * starts
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
         # the chain still ends at the complementary rank, but not where
@@ -374,6 +375,16 @@ class TestPartitionOracle:
         assert not result.passed
         assert result.counterexample["element"] == [0, -1]
 
+    def test_start_outside_grid_fails(self):
+        # every element lies in the grid, but the slots' owner is the start,
+        # so a start from another grid is refused before anything is claimed
+        shape = GridShape(2, 1)
+        chains = list(decompose(shape))
+        chains[1] = Chain(StartVector.of((2, 0), 3), chains[1].elements)
+        result = check_partition(shape, chains)
+        assert not result.passed
+        assert result.counterexample == {"element": [2, 0], "chains": [[2, 0]]}
+
     def test_counterexamples_match_reference(self, small_shape):
         m, n = small_shape.m, small_shape.n
         chains = list(decompose(small_shape))
@@ -401,6 +412,90 @@ class TestPartitionOracle:
             tracemalloc.stop()
         assert result.passed
         assert peak < 2 * 2**20, f"partition oracle peaked at {peak} bytes traced"
+
+
+class TestVerifyPass:
+    """Full-mode verify claims, checks and counts every chain in one pass."""
+
+    @pytest.mark.parametrize("shape", [GridShape(3, 2), GridShape(4, 4)], ids=str)
+    @pytest.mark.parametrize("tamper", ["steal one", "drop one"])
+    def test_partition_counterexample_matches_standalone_oracle(self, monkeypatch, shape, tamper):
+        module = importlib.import_module("scdposet.decompose")
+        honest = list(decompose(shape))
+        first, second = honest[0], honest[1]
+        if tamper == "steal one":
+            edits = {second.alpha: second.elements[:-1] + (first.elements[1],)}
+        else:
+            edits = {first.alpha: first.elements[:-1]}
+        original = module.chain_elements
+
+        def tampered(sv):
+            ch = original(sv)
+            return Chain(ch.alpha, edits.get(sv, ch.elements))
+
+        monkeypatch.setattr(module, "chain_elements", tampered)
+        chains = list(decompose(shape))
+        expected = reference_partition(shape.m, shape.n, chains)
+        assert not expected[0]
+        standalone = check_partition(shape, chains)
+        got = verify(shape).check("partition")
+        assert (got.passed, got.counterexample) == (standalone.passed, standalone.counterexample) == expected
+
+    def test_starts_are_enumerated_once_and_streamed(self, monkeypatch):
+        # the pass builds each start's chain before it draws the next start,
+        # and nothing else enumerates the starting set
+        module = importlib.import_module("scdposet.decompose")
+        log = []
+        iter_start_parts, chain_elements = module.iter_start_parts, module.chain_elements
+
+        def logged_starts(shape):
+            for parts in iter_start_parts(shape):
+                log.append(("start", parts))
+                yield parts
+
+        def logged_chain(sv):
+            log.append(("chain", sv.parts))
+            return chain_elements(sv)
+
+        monkeypatch.setattr(module, "iter_start_parts", logged_starts)
+        monkeypatch.setattr(module, "chain_elements", logged_chain)
+        assert verify(GridShape(4, 4)).passed
+        assert sum(event == "start" for event, _ in log) == 85
+        for k, (event, parts) in enumerate(log):
+            if event == "start":
+                assert log[k + 1] == ("chain", parts)
+
+    @pytest.mark.parametrize("use_oracle", [True, False])
+    def test_pass_reads_every_start_after_every_chain_check_fails(self, monkeypatch, use_oracle):
+        # reversed chains fail saturated, a locate that echoes its input
+        # reversed fails symmetric and disjoint, and one extra greedy cell
+        # in the first row fails involution and the corollary, all at the
+        # first start, 0; the chain sets stay intact, so partition passes
+        module = importlib.import_module("scdposet.decompose")
+        chain_elements, greedy_counts = module.chain_elements, module.greedy_counts
+        built = Counter()
+
+        def reversed_chain(sv):
+            built[sv.parts] += 1
+            ch = chain_elements(sv)
+            return Chain(ch.alpha, ch.elements[::-1])
+
+        monkeypatch.setattr(module, "chain_elements", reversed_chain)
+        monkeypatch.setattr(module, "locate_parts", lambda c, n: c[::-1])
+        monkeypatch.setattr(module, "greedy_counts", lambda parts, n: (1, *greedy_counts(parts, n)[1:]))
+        report = verify(GridShape(4, 4), use_oracle=use_oracle)
+        chain_checks = ["symmetric", "saturated", "disjoint", "involution", "corollary-vs-simulation"]
+        for name in chain_checks:
+            assert report.check(name).counterexample["alpha"] == [0, 0, 0, 0], name
+        assert report.chain_count == 85
+        assert report.check("middle-rank-count").passed
+        if use_oracle:
+            assert report.check("partition").passed and not report.check("partition").skipped
+            # each start's chain built once, and claimed to the end
+            assert len(built) == 85 and set(built.values()) == {1}
+        else:
+            assert report.check("partition").skipped
+            assert built == {(0, 0, 0, 0): 1}
 
 
 class TestAgainstDeBruijnTengbergenKruyswijk:

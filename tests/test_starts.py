@@ -135,13 +135,13 @@ class TestAlphaEnd:
         monkeypatch.setattr(StartVector, "__post_init__", constructing)
         shape = GridShape(4, 4)
         assert verify(shape).passed
-        assert calls == {"alpha_end_parts": 340, "StartVector": 340}
+        assert calls == {"alpha_end_parts": 255, "StartVector": 255}
         assert len(list(decompose(shape))) == 85
         sv = certificate(Composition.of((1, 3, 2, 2), 4)).alpha
         assert element_at(sv, 1).parts == (1, 2, 2, 1)
         assert psi(sv).parts == (2, 2, 1, 0)
         assert render_ascii(build_tableau(sv)).startswith("alpha=1,2,2,0 alphaE=0,1,2,2")
-        assert calls["StartVector"] == 340 + 85 + 2
+        assert calls["StartVector"] == 255 + 85 + 2
         assert calls["alpha_end_parts"] == calls["StartVector"]
 
     def test_first_entry_zero_and_total_is_rank(self, small_shape):
