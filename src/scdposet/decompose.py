@@ -4,10 +4,11 @@
 poset.  `verify` checks the decomposition's defining properties end to end,
 against an exhaustive membership oracle when the poset is small enough, and
 against deterministic samples otherwise.  The partition claims and the
-per-chain checks run in one streaming pass over the starts, in one process:
-each start's chain and greedy row counts are built once and read by every
-check, as plain parts tuples, and the starts are counted, never listed.  No
-check colours a cell grid, so the pass is the same at every grid size.
+per-chain checks run in one streaming pass over the chains `decompose`
+emits, in one process: each chain and its start's greedy row counts are
+built once and read by every check, as plain parts tuples, and the chains
+are counted, never listed.  No check colours a cell grid, so the pass is
+the same at every grid size.
 """
 
 from __future__ import annotations
@@ -340,9 +341,10 @@ def _positions(k: int, limit: int) -> list[int]:
 class _StartValue:
     """One start's chain and greedy row counts, built once and read by every check.
 
-    Full mode holds the whole chain in `elements` and probes every position;
-    sampled mode leaves `elements` None and probes a bounded set of
-    positions by O(m) random access through `at`.
+    Checks probe the chain through `at` at `positions`.  Full mode probes
+    every position of the whole chain, held in `elements` for the partition
+    claims and the involution; sampled mode leaves `elements` None and
+    probes a bounded set of positions by O(m) random access.
     """
 
     __slots__ = ("sv", "elements", "at", "positions", "greedy")
@@ -360,6 +362,17 @@ class _StartValue:
         self.at = at
         self.positions = positions
         self.greedy = greedy
+
+
+def _full_value(chain: Chain) -> _StartValue:
+    sv, elements = chain.alpha, chain.elements
+    greedy = greedy_counts(sv.parts, sv.shape.n)
+    return _StartValue(sv, elements, elements.__getitem__, range(len(elements)), greedy)
+
+
+def _sampled_value(shape: GridShape, parts: tuple[int, ...]) -> _StartValue:
+    sv = StartVector(Composition(shape, parts))
+    return _StartValue(sv, None, *_sampled_probe(sv), greedy_counts(parts, shape.n))
 
 
 def _sampled_probe(sv: StartVector) -> tuple[Callable[[int], tuple[int, ...]], list[int]]:
@@ -390,11 +403,8 @@ def _check_symmetric(v: _StartValue) -> dict | None:
 
 def _check_saturated(v: _StartValue) -> dict | None:
     """Consecutive probed elements differ by one unit vector."""
-    if v.elements is None:
-        steps = ((v.at(j), v.at(j + 1)) for j in v.positions[:-1])
-    else:
-        steps = zip(v.elements, islice(v.elements, 1, None))
-    for a, b in steps:
+    for j in v.positions[:-1]:
+        a, b = v.at(j), v.at(j + 1)
         if sum(b) - sum(a) != 1 or not all(map(le, a, b)):
             return {"alpha": list(v.sv.parts), "low": list(a), "high": list(b)}
     return None
@@ -402,7 +412,7 @@ def _check_saturated(v: _StartValue) -> dict | None:
 
 def _check_disjoint(v: _StartValue) -> dict | None:
     parts, n = v.sv.parts, v.sv.shape.n
-    for el in map(v.at, v.positions) if v.elements is None else v.elements:
+    for el in map(v.at, v.positions):
         back = locate_parts(el, n)
         if back != parts:
             return {"alpha": list(parts), "element": list(el), "located": list(back)}
@@ -442,15 +452,14 @@ def _check_involution(v: _StartValue) -> dict | None:
         return None
     if elements is None:
         image_at, image_positions = _sampled_probe(image)
-        pairs = ((image_at(j), v.at(v.positions[-1] - j)) for j in v.positions)
     else:
         image_elements = elements if iparts == parts else chain_elements(image).elements
-        image_positions = range(len(image_elements))
-        pairs = zip(image_elements, reversed(elements))
+        image_at, image_positions = image_elements.__getitem__, range(len(image_elements))
     if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
-    for j, (got, mirrored) in zip(v.positions, pairs):
-        if got != tuple(map(n.__sub__, reversed(mirrored))):
+    last = v.positions[-1]
+    for j in v.positions:
+        if image_at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
             return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     return None
 
@@ -472,14 +481,13 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 }
 
 
-def _run_checks(
-    shape: GridShape, starts: Iterable[tuple[int, ...]], full: bool, oracle: bool
-) -> tuple[list[CheckResult], int]:
-    """One pass over `starts`, running every check on each start's value.
+def _run_checks(shape: GridShape, full: bool, oracle: bool, sample: int) -> tuple[list[CheckResult], int]:
+    """One pass over the starts, running every check on each start's value.
 
-    Full mode builds each start's chain once; with `oracle` the chain is
-    also claimed in the partition table, as a check ahead of the per-chain
-    ones.  A check stops at its first counterexample in start order, but
+    Full mode reads the chains of `decompose`, each built once; with
+    `oracle` each chain is also claimed in the partition table, as a check
+    ahead of the per-chain ones.  Sampled mode reads the first `sample`
+    starts.  A check stops at its first counterexample in start order, but
     the pass reads the whole stream: `partition` claims every chain until
     it fails, and every start is counted.  Each start's value is charged to
     the first check still running, so the checks' seconds add up to the
@@ -494,21 +502,16 @@ def _run_checks(
         claims = _ClaimTable(shape)
         checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
         seconds = {"partition": clock() - t0, **seconds}
+    if full:
+        values = map(_full_value, decompose(shape))
+    else:
+        values = (_sampled_value(shape, parts) for parts in islice(iter_start_parts(shape), sample))
     found: dict[str, dict] = {}
     running = list(checks)
     count = 0
-    n = shape.n
-    for parts in starts:
+    t0 = clock()
+    for value in values:
         count += 1
-        if not running:
-            continue
-        t0 = clock()
-        sv = StartVector(Composition(shape, parts))
-        if full:
-            elements = chain_elements(sv).elements
-            value = _StartValue(sv, elements, elements.__getitem__, range(len(elements)), greedy_counts(parts, n))
-        else:
-            value = _StartValue(sv, None, *_sampled_probe(sv), greedy_counts(parts, n))
         for name in running:
             bad = checks[name](value)
             t1 = clock()
@@ -580,8 +583,7 @@ def verify(
             )
         )
 
-    starts = iter_start_parts(shape)
-    results, count = _run_checks(shape, starts if full else islice(starts, sample), full, use_oracle and full)
+    results, count = _run_checks(shape, full, use_oracle and full, sample)
     if full:
         report.chain_count = count
         report.element_count = poset_size
@@ -608,8 +610,13 @@ def verify(
             )
         )
     else:
-        # within the cap the pass counted every start; past it only a sample
-        got = count if full else sum(1 for _ in islice(iter_start_parts(shape), expected + 1))
+        # within the cap the pass counted every start; past it they are
+        # counted here up to expected + 1, which is also what a larger count
+        # reads as within the cap
+        if full:
+            got = min(count, expected + 1)
+        else:
+            got = sum(1 for _ in islice(iter_start_parts(shape), expected + 1))
         report.checks.append(
             CheckResult(
                 "middle-rank-count",

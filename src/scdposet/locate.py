@@ -23,25 +23,21 @@ def locate_parts(c: tuple[int, ...], n: int) -> tuple[int, ...]:
     rhs = sum(n - c[i] for i in r+1..t) for the current block top t (1-based).
     While lhs <= rhs the scanned row keeps its value; the first row breaking
     the inequality gets the remainder rhs - sum(c[r+1..t-1]) and opens a new
-    block.  Total work is O(m) regardless of block structure; the scan
-    carries the part of the row below, so each row is read once, and alpha
-    is built from the last row up.
+    block.  Total work is O(m) regardless of block structure.
     """
-    alpha = [0]
+    m = len(c)
+    alpha = list(c)
+    alpha[m - 1] = 0
     lhs = 0
     rhs = 0
-    below = c[-1]
-    for cr in c[-2::-1]:
+    for r in range(m - 1, 0, -1):
+        cr = c[r - 1]
         lhs += cr
-        rhs += n - below
-        below = cr
+        rhs += n - c[r]
         if lhs > rhs:
-            alpha.append(rhs - lhs + cr)
+            alpha[r - 1] = rhs - lhs + cr
             lhs = 0
             rhs = 0
-        else:
-            alpha.append(cr)
-    alpha.reverse()
     return tuple(alpha)
 
 

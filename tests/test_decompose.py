@@ -489,13 +489,27 @@ class TestVerifyPass:
             assert report.check(name).counterexample["alpha"] == [0, 0, 0, 0], name
         assert report.chain_count == 85
         assert report.check("middle-rank-count").passed
+        # the pass reads every chain of the stream once, oracle or not
+        assert len(built) == 85 and set(built.values()) == {1}
         if use_oracle:
             assert report.check("partition").passed and not report.check("partition").skipped
-            # each start's chain built once, and claimed to the end
-            assert len(built) == 85 and set(built.values()) == {1}
         else:
             assert report.check("partition").skipped
-            assert built == {(0, 0, 0, 0): 1}
+
+    def test_pass_reads_the_decompose_stream(self, monkeypatch):
+        # verify certifies the chains `decompose` streams, not a rebuild of
+        # them: a stream that drops one chain fails partition at its start
+        module = importlib.import_module("scdposet.decompose")
+        honest = module.decompose
+
+        def dropping(shape):
+            return (ch for ch in honest(shape) if ch.alpha.parts != (0, 1, 0))
+
+        monkeypatch.setattr(module, "decompose", dropping)
+        report = verify(GridShape(3, 2))
+        assert report.check("partition").counterexample == {"element": [0, 1, 0], "chains": []}
+        assert report.chain_count == 6
+        assert report.check("middle-rank-count").counterexample == {"chain_count": 6, "middle_level_size": 7}
 
 
 class TestAgainstDeBruijnTengbergenKruyswijk:
