@@ -5,19 +5,23 @@ parts, each part between 0 and n, ordered componentwise and graded by part
 sum.  Everything here is an immutable value type or a pure function, so
 objects can be shared freely across threads and pickled across processes.
 
-The value types of the package are hand-written slot classes, not classes
+The value types of the package are slot classes on two bases, not classes
 generated by a decorator: every CLI command imports them, and on Python 3.11
 importing the standard library's class generator (which pulls in `inspect`,
 `ast` and `tokenize`) and exec'ing the methods it generates for each class
-cost about 20 ms per process start, where byte-compiled methods cost
-nothing.  Each class writes out its `__init__`, `__eq__`, `__hash__` and
-`__repr__` in the generated form: equality and hashing act on the tuple of
-fields, so identical fields skip their own `__eq__`.  `__init__` sets the
-fields with `object.__setattr__` and then calls `self.__post_init__()` by
-attribute lookup, so the construction checks can be wrapped on the class.
+cost about 20 ms per process start.  `Record` gives every subclass equality,
+repr and pickling over one field list, its `__slots__` unless the class names
+a subset as `_fields`; `Frozen` adds hashing over the same fields and refuses
+assignment.  Each class still writes out its `__init__`: it holds the
+signature and defaults, builds the values the hot paths create on every
+chain without a generic loop, sets the fields with `object.__setattr__` and
+then calls `self.__post_init__()` by attribute lookup, so the construction
+checks can be wrapped on the class.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter, index
 
 # Shapes with more cells than this are refused at construction, so an absurd
 # -m/-n fails at once instead of starting work no run could finish.  Python
@@ -31,12 +35,42 @@ class ShapeMismatchError(ValueError):
     """Raised when two compositions from different grids are combined."""
 
 
-class Frozen:
-    """Base of the immutable value types: no assignment or deletion after `__init__`.
+class Record:
+    """Base of the value types: equality, repr and pickling over the field list.
 
-    Pickling and copying rebuild the value through its constructor from the
-    fields in `__slots__` order, so the construction checks run again.
+    The field list is the class's `__slots__`, or the subset it names as
+    `_fields`.  Values of the same class are equal when their fields are;
+    pickling and copying rebuild the value through its constructor, which
+    takes the fields positionally in that order, so the construction checks
+    run again.  A plain record is mutable and so unhashable.
     """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = fields = tuple(cls.__dict__.get("_fields", cls.__dict__.get("__slots__", ())))
+        # The comparison key, read in C: the tuple of the fields, or the value
+        # of the only one.
+        cls._key = attrgetter(*fields) if fields else staticmethod(lambda _: ())
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(map(self.__getattribute__, self._fields))
+
+
+class Frozen(Record):
+    """Base of the immutable value types: hashable, and no assignment or deletion after `__init__`."""
 
     __slots__ = ()
 
@@ -46,8 +80,8 @@ class Frozen:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __reduce__(self):
-        return type(self), tuple(map(self.__getattribute__, self.__slots__))
+    def __hash__(self):
+        return hash(self._key(self))
 
 
 class GridShape(Frozen):
@@ -59,17 +93,6 @@ class GridShape(Frozen):
         _set(self, "m", m)
         _set(self, "n", n)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.m, self.n) == (other.m, other.n)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.m, self.n))
-
-    def __repr__(self):
-        return f"GridShape(m={self.m!r}, n={self.n!r})"
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -98,17 +121,6 @@ class Composition(Frozen):
         _set(self, "parts", parts)
         self.__post_init__()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape, self.parts) == (other.shape, other.parts)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.shape, self.parts))
-
-    def __repr__(self):
-        return f"Composition(shape={self.shape!r}, parts={self.parts!r})"
-
     def __post_init__(self) -> None:
         if len(self.parts) != self.shape.m:
             raise ValueError(f"expected {self.shape.m} parts, got {len(self.parts)}")
@@ -119,8 +131,12 @@ class Composition(Frozen):
 
     @classmethod
     def of(cls, parts, n: int) -> "Composition":
-        """Build a composition from any iterable of parts, inferring m."""
-        t = tuple(map(int, parts))
+        """Build a composition from any iterable of integer parts, inferring m.
+
+        A part that is not an integer, such as a float or a string, raises
+        TypeError rather than being truncated.
+        """
+        t = tuple(map(index, parts))
         return cls(GridShape(len(t), n), t)
 
 

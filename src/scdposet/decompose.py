@@ -20,7 +20,7 @@ from math import comb
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, Frozen, GridShape, _set
+from .core import Composition, Frozen, GridShape, Record, _set
 from .locate import locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
@@ -51,17 +51,6 @@ class LevelProfile(Frozen):
     def __init__(self, shape: GridShape, sizes: tuple[int, ...]) -> None:
         _set(self, "shape", shape)
         _set(self, "sizes", sizes)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape, self.sizes) == (other.shape, other.sizes)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.shape, self.sizes))
-
-    def __repr__(self):
-        return f"LevelProfile(shape={self.shape!r}, sizes={self.sizes!r})"
 
     @property
     def middle(self) -> int:
@@ -129,7 +118,7 @@ def chain_length_histogram(shape: GridShape) -> dict[int, int]:
     return out
 
 
-class CheckResult:
+class CheckResult(Record):
     """The outcome of one verify check; `verify` fills it in as the check runs."""
 
     __slots__ = ("name", "passed", "seconds", "counterexample", "skipped", "message")
@@ -150,24 +139,6 @@ class CheckResult:
         self.skipped = skipped
         self.message = message
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.name, self.passed, self.seconds, self.counterexample, self.skipped, self.message) == (
-                other.name,
-                other.passed,
-                other.seconds,
-                other.counterexample,
-                other.skipped,
-                other.message,
-            )
-        return NotImplemented
-
-    def __repr__(self):
-        return (
-            f"CheckResult(name={self.name!r}, passed={self.passed!r}, seconds={self.seconds!r}, "
-            f"counterexample={self.counterexample!r}, skipped={self.skipped!r}, message={self.message!r})"
-        )
-
     def to_dict(self) -> dict:
         return {
             "name": self.name,
@@ -179,7 +150,7 @@ class CheckResult:
         }
 
 
-class VerificationReport:
+class VerificationReport(Record):
     """Every check `verify` ran on one grid, in report order."""
 
     __slots__ = ("shape", "checks", "chain_count", "element_count")
@@ -195,22 +166,6 @@ class VerificationReport:
         self.checks = [] if checks is None else checks
         self.chain_count = chain_count
         self.element_count = element_count
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.shape, self.checks, self.chain_count, self.element_count) == (
-                other.shape,
-                other.checks,
-                other.chain_count,
-                other.element_count,
-            )
-        return NotImplemented
-
-    def __repr__(self):
-        return (
-            f"VerificationReport(shape={self.shape!r}, checks={self.checks!r}, "
-            f"chain_count={self.chain_count!r}, element_count={self.element_count!r})"
-        )
 
     @property
     def passed(self) -> bool:

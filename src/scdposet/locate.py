@@ -60,24 +60,6 @@ class MembershipCertificate(Frozen):
         _set(self, "fill_vector", fill_vector)
         _set(self, "positive_set", positive_set)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.fill_vector, self.positive_set) == (
-                other.alpha,
-                other.fill_vector,
-                other.positive_set,
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.fill_vector, self.positive_set))
-
-    def __repr__(self):
-        return (
-            f"MembershipCertificate(alpha={self.alpha!r}, fill_vector={self.fill_vector!r}, "
-            f"positive_set={self.positive_set!r})"
-        )
-
 
 def certificate(c: Composition) -> MembershipCertificate:
     """Locate `c` and return the checked membership evidence.

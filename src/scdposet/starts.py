@@ -55,24 +55,11 @@ class StartVector(Frozen):
     """
 
     __slots__ = ("alpha", "end")
+    _fields = ("alpha",)
 
     def __init__(self, alpha: Composition) -> None:
         _set(self, "alpha", alpha)
         self.__post_init__()
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha,) == (other.alpha,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha,))
-
-    def __repr__(self):
-        return f"StartVector(alpha={self.alpha!r})"
-
-    def __reduce__(self):
-        return type(self), (self.alpha,)
 
     def __post_init__(self) -> None:
         parts, n = self.alpha.parts, self.alpha.shape.n
@@ -161,29 +148,41 @@ def psi(alpha: StartVector) -> StartVector:
 def iter_start_parts(shape: GridShape) -> Iterator[tuple[int, ...]]:
     """Yield the parts tuples of all start vectors in lexicographic order.
 
-    Depth-first over positions 1..m-1 choosing parts left to right.  A prefix
-    extends to a full start vector iff it satisfies every suffix inequality
-    with the remaining positions set to zero; that test reduces to
-    2*prefix_sum <= G where G is the running minimum of
-    (m-t)*n + parts[t] + 2*prefix_sum_before_t over chosen positions t.  The
-    pruning is exact, so the cost is proportional to the output size.
+    An odometer over positions 1..m-1 choosing parts left to right, the last
+    part fixed at 0.  A prefix extends to a full start vector iff it
+    satisfies every suffix inequality with the remaining positions set to
+    zero; that test reduces to 2*prefix_sum <= G where G is the running
+    minimum of (m-t)*n + parts[t] + 2*prefix_sum_before_t over chosen
+    positions t.  So position t ranges over 0..min(n, (G - 2*prefix)//2), the
+    pruning is exact, and the cost is proportional to the output size.  The
+    loop keeps one bound per position instead of one stack frame, so any m
+    the grid allows is enumerated.
     """
     m, n = shape.m, shape.n
-    if m == 1:
-        yield (0,)
-        return
     buf = [0] * m
-    no_bound = 4 * m * n + 4  # larger than any reachable minimum
-
-    def descend(t: int, prefix: int, g: int) -> Iterator[tuple[int, ...]]:
-        # t is the 1-based position being chosen; prefix = sum(buf[:t-1]).
-        hi = min(n, (g - 2 * prefix) // 2)
-        last = t == m - 1
-        for v in range(hi + 1):
-            buf[t - 1] = v
-            if last:
-                yield tuple(buf)
-            else:
-                yield from descend(t + 1, prefix + v, min(g, (m - t) * n + v + 2 * prefix))
-
-    yield from descend(1, 0, no_bound)
+    last = m - 2  # 0-based index of the last chosen position
+    if last < 0:
+        yield tuple(buf)
+        return
+    # hi[i]: the largest part position i may take; g[i], pre[i]: G and the
+    # prefix sum in force when it is chosen.
+    hi = [n] * (m - 1)
+    g = [4 * m * n + 4] * (m - 1)  # larger than any reachable minimum
+    pre = [0] * (m - 1)
+    i = 0  # positions after i start again at 0
+    while True:
+        for t in range(i, last):
+            v, p = buf[t], pre[t]
+            pre[t + 1] = p + v
+            g[t + 1] = bound = min(g[t], (m - 1 - t) * n + v + 2 * p)
+            hi[t + 1] = min(n, (bound - 2 * (p + v)) // 2)
+            buf[t + 1] = 0
+        for v in range(hi[last] + 1):
+            buf[last] = v
+            yield tuple(buf)
+        i = last - 1
+        while i >= 0 and buf[i] == hi[i]:
+            i -= 1
+        if i < 0:
+            return
+        buf[i] += 1

@@ -38,17 +38,6 @@ class Fixed(Frozen):
 
     __slots__ = ()
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "Fixed()"
-
 
 class Forbidden(Frozen):
     """Cell blocked by a source row above; source is 1-based, None if unknown."""
@@ -58,17 +47,6 @@ class Forbidden(Frozen):
     def __init__(self, source: int | None = None) -> None:
         _set(self, "source", source)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.source,) == (other.source,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.source,))
-
-    def __repr__(self):
-        return f"Forbidden(source={self.source!r})"
-
 
 class Fillable(Frozen):
     """Cell filled at position `order` (1-based) along the chain."""
@@ -77,17 +55,6 @@ class Fillable(Frozen):
 
     def __init__(self, order: int) -> None:
         _set(self, "order", order)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.order,) == (other.order,)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.order,))
-
-    def __repr__(self):
-        return f"Fillable(order={self.order!r})"
 
 
 CellState = Fixed | Forbidden | Fillable
@@ -169,17 +136,6 @@ class ChainTableau(Frozen):
         _set(self, "alpha", alpha)
         _set(self, "cells", cells)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.cells) == (other.alpha, other.cells)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.cells))
-
-    def __repr__(self):
-        return f"ChainTableau(alpha={self.alpha!r}, cells={self.cells!r})"
-
     @property
     def shape(self) -> GridShape:
         return self.alpha.shape
@@ -208,17 +164,6 @@ class Chain(Frozen):
     def __init__(self, alpha: StartVector, elements: tuple[tuple[int, ...], ...]) -> None:
         _set(self, "alpha", alpha)
         _set(self, "elements", elements)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.alpha, self.elements) == (other.alpha, other.elements)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.alpha, self.elements))
-
-    def __repr__(self):
-        return f"Chain(alpha={self.alpha!r}, elements={self.elements!r})"
 
     def __len__(self) -> int:
         return len(self.elements)

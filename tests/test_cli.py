@@ -175,6 +175,12 @@ class TestVerifyCommand:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["involution"]["counterexample"]["reason"] == "psi(alpha) is not a start vector"
 
+    def test_sampled_verify_runs_on_a_thousand_row_grid(self, capsys):
+        # the starting set is enumerated without one stack frame per row
+        code, out, err = run(capsys, "verify", "-m", "1200", "-n", "1", "--sample", "1")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
+
     def test_sample_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "0")
         assert code == 1

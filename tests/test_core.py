@@ -1,9 +1,12 @@
+import importlib
+import pkgutil
 from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scdposet
 from scdposet import (
     Composition,
     GridShape,
@@ -15,6 +18,7 @@ from scdposet import (
     rank,
     star,
 )
+from scdposet.core import Record
 
 from conftest import all_parts
 
@@ -51,6 +55,11 @@ class TestShapeAndComposition:
             comp((0, 3), 2)
         with pytest.raises(ValueError):
             comp((0, -1), 2)
+
+    @pytest.mark.parametrize("parts", [(0.9, 1.7), (1.0, 0), "10"])
+    def test_of_refuses_parts_that_are_not_integers(self, parts):
+        with pytest.raises(TypeError):
+            Composition.of(parts, 2)
 
     def test_parse_rejects_junk(self):
         with pytest.raises(ValueError):
@@ -145,3 +154,19 @@ class TestStar:
         for a in elems:
             for b in elems:
                 assert leq(b, a) == leq(star(a), star(b))
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_record_field_list_is_its_slots():
+    for info in pkgutil.iter_modules(scdposet.__path__):
+        importlib.import_module(f"scdposet.{info.name}")
+    records = {cls for cls in _subclasses(Record) if cls.__module__.startswith("scdposet.")}
+    assert {cls.__name__ for cls in records} >= {"Composition", "StartVector", "CheckResult", "Fixed"}
+    for cls in records:
+        expected = ("alpha",) if cls.__name__ == "StartVector" else cls.__slots__
+        assert cls._fields == expected, cls

@@ -520,6 +520,10 @@ class TestAgainstDeBruijnTengbergenKruyswijk:
         assert Counter(len(ch) for ch in classical) == lengths
         assert len(classical) == sum(lengths.values()) == brute_level_sizes(m, n)[m * n // 2]
 
+    def test_same_chains(self, small_shape):
+        m, n = small_shape.m, small_shape.n
+        assert {ch.elements for ch in decompose(small_shape)} == {tuple(c) for c in dbtk_chains(m, n)}
+
     def test_oracle_is_a_symmetric_chain_decomposition(self, small_shape):
         m, n = small_shape.m, small_shape.n
         classical = dbtk_chains(m, n)

@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -235,3 +236,8 @@ class TestEnumerateStarts:
     def test_count_is_middle_level_size(self, small_shape):
         count = sum(1 for _ in iter_start_parts(small_shape))
         assert count == level_sizes(small_shape).middle
+
+    def test_thousand_row_grid_enumerates_without_recursion(self):
+        first = list(islice(iter_start_parts(GridShape(1200, 1)), 3))
+        zero = (0,) * 1200
+        assert first == [zero, zero[:-2] + (1, 0), zero[:-3] + (1, 0, 0)]
