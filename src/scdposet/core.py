@@ -90,8 +90,9 @@ class GridShape(Frozen):
     __slots__ = ("m", "n")
 
     def __init__(self, m: int, n: int) -> None:
-        _set(self, "m", m)
-        _set(self, "n", n)
+        # index() refuses a float or string size here, not deep in enumeration
+        _set(self, "m", index(m))
+        _set(self, "n", index(n))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -122,6 +123,9 @@ class Composition(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
+        # a list would compare unequal to the tuple form and break hashing
+        if not isinstance(self.parts, tuple):
+            raise TypeError(f"parts must be a tuple, got {type(self.parts).__name__}")
         if len(self.parts) != self.shape.m:
             raise ValueError(f"expected {self.shape.m} parts, got {len(self.parts)}")
         n = self.shape.n

@@ -13,10 +13,11 @@ import pytest
 import scdposet
 import scdposet.starts
 import scdposet.tableau
-from scdposet import cli
+from scdposet import GridShape, StartVector, chain_elements, cli, decompose, format_parts
 from scdposet.decompose import CheckResult, VerificationReport
+from scdposet.starts import iter_start_parts
 
-from conftest import shift_one_forbidden_cell
+from conftest import SMALL_SHAPES, shift_one_forbidden_cell
 
 
 def run(capsys, *argv):
@@ -87,6 +88,57 @@ class TestDecomposeCommand:
         _, first, _ = run(capsys, "decompose", "-m", "2", "-n", "3")
         _, second, _ = run(capsys, "decompose", "-m", "2", "-n", "3")
         assert first == second
+
+
+def json_line(ch):
+    """The chain's line as the standard library encodes it, compact."""
+    payload = {
+        "m": ch.alpha.shape.m,
+        "n": ch.alpha.shape.n,
+        "alpha": list(ch.alpha.parts),
+        "alpha_end": list(ch.alpha.end),
+        "start": list(ch.elements[0]),
+        "end": list(ch.elements[-1]),
+        "elements": [list(el) for el in ch.elements],
+    }
+    return json.dumps(payload, separators=(",", ":")) + "\n"
+
+
+class TestChainLineBytes:
+    """`chain`, `decompose` and `starts` format their lines by hand, chains in
+    slices of `cli._CHUNK` elements; the bytes must be those of `json.dumps`
+    and `format_parts`."""
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(1, 5)])
+    def test_decompose_matches_json_dumps(self, capsys, m, n):
+        code, out, _ = run(capsys, "decompose", "-m", str(m), "-n", str(n))
+        assert code == 0
+        assert out == "".join(map(json_line, decompose(GridShape(m, n))))
+
+    @pytest.mark.parametrize(
+        "alpha, n, length",
+        [((0, 0, 0), 1365, 4096), ((0, 0), 2048, 4097), ((0, 0), 3000, 6001)],
+        ids=["one-full-slice", "one-past-a-slice", "two-slices-and-a-part"],
+    )
+    def test_chain_matches_json_dumps_at_slice_boundaries(self, capsys, alpha, n, length):
+        ch = chain_elements(StartVector.of(alpha, n))
+        assert len(ch) == length
+        code, out, _ = run(capsys, "chain", "--alpha", ",".join(map(str, alpha)), "-n", str(n))
+        assert code == 0
+        assert out == json_line(ch)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_decompose_matches_json_dumps_in_short_slices(self, capsys, monkeypatch, chunk):
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        code, out, _ = run(capsys, "decompose", "-m", "3", "-n", "3")
+        assert code == 0
+        assert out == "".join(map(json_line, decompose(GridShape(3, 3))))
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES)
+    def test_starts_matches_format_parts(self, capsys, m, n):
+        code, out, _ = run(capsys, "starts", "-m", str(m), "-n", str(n))
+        assert code == 0
+        assert out == "".join(format_parts(parts) + "\n" for parts in iter_start_parts(GridShape(m, n)))
 
 
 class TestLocateCommand:

@@ -46,6 +46,17 @@ class TestShapeAndComposition:
         with pytest.raises(ValueError):
             GridShape(2**20, 2**20)
 
+    @pytest.mark.parametrize("m, n", [(2.0, 3), (2, 3.0)])
+    def test_shape_refuses_sizes_that_are_not_integers(self, m, n):
+        # a float size used to be accepted and fail later, deep in enumeration
+        with pytest.raises(TypeError):
+            GridShape(m, n)
+
+    def test_composition_refuses_parts_that_are_not_a_tuple(self):
+        # a list would compare unequal to the tuple form and be unhashable
+        with pytest.raises(TypeError):
+            Composition(GridShape(2, 3), [1, 2])
+
     def test_part_count_must_match(self):
         with pytest.raises(ValueError):
             Composition(GridShape(3, 2), (1, 2))
