@@ -3,12 +3,13 @@
 `decompose` streams every chain of the grid without ever materializing the
 poset.  `verify` checks the decomposition's defining properties end to end,
 against an exhaustive membership oracle when the poset is small enough, and
-against deterministic samples otherwise.  The partition claims and the
-per-chain checks run in one streaming pass over the chains `decompose`
-emits, in one process: each chain and its start's greedy row counts are
-built once and read by every check, as plain parts tuples, and the chains
-are counted, never listed.  No check colours a cell grid, so the pass is
-the same at every grid size.
+against deterministic samples otherwise.  Every check runs in one
+streaming pass, in one process: within the cap over the chains `decompose`
+emits, past it over the first starts of one enumeration, which then goes
+on to count the middle rank.  Each chain and its start's greedy row counts
+are built once and read by every check, as plain parts tuples, and the
+chains are counted, never listed.  No check colours a cell grid, so the
+pass is the same at every grid size.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def chain_length_histogram(shape: GridShape) -> dict[int, int]:
 
 
 class CheckResult(Record):
-    """The outcome of one verify check; `verify` fills it in as the check runs."""
+    """The outcome of one verify check; `verify` creates each once its pass is done."""
 
     __slots__ = ("name", "passed", "seconds", "counterexample", "skipped", "message")
 
@@ -296,42 +297,26 @@ def _positions(k: int, limit: int) -> list[int]:
 class _StartValue:
     """One start's chain and greedy row counts, built once and read by every check.
 
-    Checks probe the chain through `at` at `positions`.  Full mode probes
-    every position of the whole chain, held in `elements` for the partition
-    claims and the involution; sampled mode leaves `elements` None and
-    probes a bounded set of positions by O(m) random access.
+    Checks probe the chain through `at` at `positions`.  Full mode passes
+    the whole chain as `elements`, for the partition claims and the
+    involution, and every position is probed; sampled mode leaves `elements`
+    None and probes a bounded set of positions by O(m) random access.
     """
 
     __slots__ = ("sv", "elements", "at", "positions", "greedy")
 
-    def __init__(
-        self,
-        sv: StartVector,
-        elements: tuple[tuple[int, ...], ...] | None,
-        at: Callable[[int], tuple[int, ...]],
-        positions: Sequence[int],
-        greedy: tuple[int, ...],
-    ) -> None:
+    def __init__(self, sv: StartVector, elements: tuple[tuple[int, ...], ...] | None = None) -> None:
         self.sv = sv
         self.elements = elements
-        self.at = at
-        self.positions = positions
-        self.greedy = greedy
+        self.at, self.positions = _probe(sv, elements)
+        self.greedy = greedy_counts(sv.parts, sv.shape.n)
 
 
-def _full_value(chain: Chain) -> _StartValue:
-    sv, elements = chain.alpha, chain.elements
-    greedy = greedy_counts(sv.parts, sv.shape.n)
-    return _StartValue(sv, elements, elements.__getitem__, range(len(elements)), greedy)
-
-
-def _sampled_value(shape: GridShape, parts: tuple[int, ...]) -> _StartValue:
-    sv = StartVector(Composition(shape, parts))
-    return _StartValue(sv, None, *_sampled_probe(sv), greedy_counts(parts, shape.n))
-
-
-def _sampled_probe(sv: StartVector) -> tuple[Callable[[int], tuple[int, ...]], list[int]]:
-    """Element accessor and bounded probe positions for the chain of `sv`."""
+def _probe(sv: StartVector, elements: tuple[tuple[int, ...], ...] | None) -> tuple[Callable, Sequence[int]]:
+    """Element accessor and probe positions for the chain of `sv`: every
+    position of `elements` when given, else a bounded set by random access."""
+    if elements is not None:
+        return elements.__getitem__, range(len(elements))
     positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
     return (lambda j: element_at(sv, j).parts), positions
 
@@ -405,11 +390,8 @@ def _check_involution(v: _StartValue) -> dict | None:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
     if not compare:
         return None
-    if elements is None:
-        image_at, image_positions = _sampled_probe(image)
-    else:
-        image_elements = elements if iparts == parts else chain_elements(image).elements
-        image_at, image_positions = image_elements.__getitem__, range(len(image_elements))
+    image_elements = elements if elements is None or iparts == parts else chain_elements(image).elements
+    image_at, image_positions = _probe(image, image_elements)
     if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
     last = v.positions[-1]
@@ -436,56 +418,6 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 }
 
 
-def _run_checks(shape: GridShape, full: bool, oracle: bool, sample: int) -> tuple[list[CheckResult], int]:
-    """One pass over the starts, running every check on each start's value.
-
-    Full mode reads the chains of `decompose`, each built once; with
-    `oracle` each chain is also claimed in the partition table, as a check
-    ahead of the per-chain ones.  Sampled mode reads the first `sample`
-    starts.  A check stops at its first counterexample in start order, but
-    the pass reads the whole stream: `partition` claims every chain until
-    it fails, and every start is counted.  Each start's value is charged to
-    the first check still running, so the checks' seconds add up to the
-    wall time of the pass.  Returns the results in report order and the
-    number of starts.
-    """
-    clock = time.perf_counter
-    checks = _CHAIN_CHECKS
-    seconds = dict.fromkeys(checks, 0.0)
-    if oracle:
-        t0 = clock()
-        claims = _ClaimTable(shape)
-        checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
-        seconds = {"partition": clock() - t0, **seconds}
-    if full:
-        values = map(_full_value, decompose(shape))
-    else:
-        values = (_sampled_value(shape, parts) for parts in islice(iter_start_parts(shape), sample))
-    found: dict[str, dict] = {}
-    running = list(checks)
-    count = 0
-    t0 = clock()
-    for value in values:
-        count += 1
-        for name in running:
-            bad = checks[name](value)
-            t1 = clock()
-            seconds[name] += t1 - t0
-            t0 = t1
-            if bad is not None:
-                found[name] = bad
-        running = [name for name in running if name not in found]
-    if oracle and "partition" in running:
-        t0 = clock()
-        bad = claims.missing()
-        seconds["partition"] += clock() - t0
-        if bad is not None:
-            found["partition"] = bad
-    note = "" if full else f"sampled {count} chains"
-    results = [CheckResult(name, name not in found, seconds[name], found.get(name), message=note) for name in checks]
-    return results, count
-
-
 def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | None:
     """Locate random compositions and probe membership via random access."""
     rng = random.Random(seed)
@@ -509,75 +441,93 @@ def verify(
 
     Oracle (exhaustive partition) mode requires the poset size (n+1)**m to
     stay within `cap`; past the cap it is refused with a message and the
-    remaining checks fall back to deterministic sampling.  Within the cap,
-    the partition claims, the per-chain checks and the start count share
-    one streaming pass that builds each chain once.  Reports from repeated
-    runs are identical apart from timings.  A `sample` below 1 is refused,
-    since sampled checks over no chains would pass unexamined, and so is a
-    `cap` below 0.
+    remaining checks fall back to deterministic sampling.  A `sample` below
+    1 is refused, since sampled checks over no chains would pass
+    unexamined, and so is a `cap` below 0.
+
+    Every check runs in one streaming pass over the starts.  Within the cap
+    the pass reads the chains of `decompose`, each built once, claims each
+    one in the partition table with the oracle, and counts every start.
+    Past it the pass reads the first `sample` starts, and when the middle
+    rank fits the cap the same enumeration goes on counting, up to the
+    middle rank size + 1.  A check stops at its first counterexample in
+    start order, but the pass reads the whole stream.  Each start's value
+    is charged to the first check still running, so the checks' seconds
+    add up to the wall time of the pass.  A finish step runs after the
+    stream for a check still passing: the partition's sweep for a slot left
+    unclaimed, and the sampled random round trips of `disjoint`.  Reports
+    from repeated runs are identical apart from timings.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
-    report = VerificationReport(shape)
+    clock = time.perf_counter
     poset_size = shape.size
     full = poset_size <= cap
-
+    checks = _CHAIN_CHECKS
+    skipped: dict[str, str] = {}
+    found: dict[str, dict] = {}
+    seconds = dict.fromkeys(["partition", *checks, "middle-rank-count"], 0.0)
+    # finish steps, each with the note it adds to its check's message
+    finish: dict[str, tuple[Callable[[], dict | None], str]] = {}
     if not use_oracle:
-        report.checks.append(
-            CheckResult("partition", True, skipped=True, message="oracle disabled by caller")
-        )
+        skipped["partition"] = "oracle disabled by caller"
     elif not full:
-        report.checks.append(
-            CheckResult(
-                "partition",
-                True,
-                skipped=True,
-                message=f"poset size {poset_size} exceeds cap {cap}; oracle mode refused",
-            )
-        )
-
-    results, count = _run_checks(shape, full, use_oracle and full, sample)
+        skipped["partition"] = f"poset size {poset_size} exceeds cap {cap}; oracle mode refused"
+    else:
+        t0 = clock()
+        claims = _ClaimTable(shape)
+        checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
+        finish["partition"] = claims.missing, ""
+        seconds["partition"] = clock() - t0
     if full:
-        report.chain_count = count
-        report.element_count = poset_size
-    for result in results:
-        if result.name == "disjoint" and result.passed and not full:
-            t0 = time.perf_counter()
-            bad = _random_roundtrip(shape, sample)
-            result.seconds += time.perf_counter() - t0
-            if bad is not None:
-                result.passed = False
-                result.counterexample = bad
-            result.message = (result.message + f"; {sample} random round trips").strip("; ")
-        report.checks.append(result)
+        starts: Iterable = ()  # the pass counts every start of `decompose`
+        values = (_StartValue(ch.alpha, ch.elements) for ch in decompose(shape))
+    else:
+        starts = iter_start_parts(shape)
+        values = (_StartValue(StartVector(Composition(shape, parts))) for parts in islice(starts, sample))
+        finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), f"; {sample} random round trips"
 
-    t0 = time.perf_counter()
+    running = list(checks)
+    count = 0
+    t0 = clock()
+    for value in values:
+        count += 1
+        for name in running:
+            bad = checks[name](value)
+            t1 = clock()
+            seconds[name] += t1 - t0
+            t0 = t1
+            if bad is not None:
+                found[name] = bad
+        running = [name for name in running if name not in found]
+
+    note = "" if full else f"sampled {count} chains"
+    messages = {name: note if name in _CHAIN_CHECKS else "" for name in seconds}
+    for name, (step, suffix) in finish.items():
+        if name not in found:
+            t0 = clock()
+            bad = step()
+            seconds[name] += clock() - t0
+            messages[name] += suffix
+            if bad is not None:
+                found[name] = bad
+
+    t0 = clock()
     expected = middle_level_size(shape)
     if expected > cap:
-        report.checks.append(
-            CheckResult(
-                "middle-rank-count",
-                True,
-                skipped=True,
-                message=f"middle rank size {expected} exceeds cap {cap}",
-            )
-        )
+        skipped["middle-rank-count"] = f"middle rank size {expected} exceeds cap {cap}"
     else:
-        # within the cap the pass counted every start; past it they are
-        # counted here up to expected + 1, which is also what a larger count
-        # reads as within the cap
-        if full:
-            got = min(count, expected + 1)
-        else:
-            got = sum(1 for _ in islice(iter_start_parts(shape), expected + 1))
-        report.checks.append(
-            CheckResult(
-                "middle-rank-count",
-                got == expected,
-                time.perf_counter() - t0,
-                None if got == expected else {"chain_count": got, "middle_level_size": expected},
-            )
-        )
-    return report
+        # full mode counted every start in the pass, and sampled mode counts
+        # on along its enumeration; either count stops at expected + 1
+        got = min(count + sum(1 for _ in islice(starts, max(0, expected + 1 - count))), expected + 1)
+        seconds["middle-rank-count"] = clock() - t0
+        if got != expected:
+            found["middle-rank-count"] = {"chain_count": got, "middle_level_size": expected}
+
+    results = [
+        CheckResult(name, name not in found, seconds[name], found.get(name), name in skipped, skipped.get(name, note))
+        for name, note in messages.items()
+    ]
+    return VerificationReport(shape, results, count if full else None, poset_size if full else None)

@@ -50,7 +50,9 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     """Parse render_ascii output back into (alpha parts, cell grid).
 
     Forbidden cells come back without their source row; everything else is
-    exact.
+    exact.  Raises ValueError on text `render_ascii` does not write: a fill
+    number that is not ASCII decimal digits or is below 1, ragged rows, or a
+    row count other than the number of parts of alpha.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or not lines[0].startswith("alpha="):
@@ -65,9 +67,13 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
                 row.append(Fixed())
             elif tok == FORBIDDEN_GLYPH:
                 row.append(Forbidden())
-            else:
+            elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
                 row.append(Fillable(int(tok)))
+            else:
+                raise ValueError(f"cell {tok!r} is not {FIXED_GLYPH}, {FORBIDDEN_GLYPH} or a fill number of at least 1")
         rows.append(tuple(row))
+    if len(rows) != len(alpha) or len({len(row) for row in rows}) > 1:
+        raise ValueError(f"expected {len(alpha)} rows of equal length, got {[len(row) for row in rows]} cells per row")
     return alpha, tuple(rows)
 
 

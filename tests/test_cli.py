@@ -292,6 +292,25 @@ class TestVerifyCommand:
         }
 
 
+    def test_sampled_report_with_counted_middle_rank_pinned(self, capsys):
+        # 625 compositions exceed the cap, but the middle rank's 85 do not
+        code, out, _ = run(capsys, "verify", "-m", "4", "-n", "4", "--cap", "100", "--sample", "8")
+        assert code == 0
+        sampled = "sampled 8 chains"
+        assert self._without_seconds(out) == {
+            "m": 4, "n": 4, "passed": True, "chain_count": None, "element_count": None,
+            "checks": [
+                self._check("partition", "oracle disabled by caller", skipped=True),
+                self._check("symmetric", sampled),
+                self._check("saturated", sampled),
+                self._check("disjoint", sampled + "; 8 random round trips"),
+                self._check("involution", sampled),
+                self._check("corollary-vs-simulation", sampled),
+                self._check("middle-rank-count"),
+            ],
+        }
+
+
 class TestRenderCommand:
     def test_ascii(self, capsys):
         code, out, _ = run(capsys, "render", "--alpha", "1,3,2,0", "-n", "4")

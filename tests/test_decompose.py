@@ -511,6 +511,41 @@ class TestVerifyPass:
         assert report.chain_count == 6
         assert report.check("middle-rank-count").counterexample == {"chain_count": 6, "middle_level_size": 7}
 
+    def test_sampled_mode_enumerates_the_starts_once(self, monkeypatch):
+        # past the cap the pass checks the first `sample` starts, and the
+        # same enumeration goes on to count the middle rank, which fits
+        module = importlib.import_module("scdposet.decompose")
+        calls = []
+        iter_start_parts = module.iter_start_parts
+
+        def logged_starts(shape):
+            calls.append(shape)
+            return iter_start_parts(shape)
+
+        monkeypatch.setattr(module, "iter_start_parts", logged_starts)
+        report = verify(GridShape(4, 4), cap=100, sample=8)
+        assert calls == [GridShape(4, 4)]
+        assert report.passed and report.check("symmetric").message == "sampled 8 chains"
+        middle = report.check("middle-rank-count")
+        assert middle.passed and not middle.skipped
+
+    def test_sampled_count_of_too_many_starts_fails_without_raising(self, monkeypatch):
+        # every start twice: 24 starts all land in the sample, past the
+        # expected 12 + 1, so nothing is left to count and the count is capped
+        module = importlib.import_module("scdposet.decompose")
+        iter_start_parts = module.iter_start_parts
+
+        def doubled_starts(shape):
+            for parts in iter_start_parts(shape):
+                yield from (parts, parts)
+
+        monkeypatch.setattr(module, "iter_start_parts", doubled_starts)
+        report = verify(GridShape(3, 3), cap=50, sample=512)
+        assert report.check("symmetric").message == "sampled 24 chains"
+        middle = report.check("middle-rank-count")
+        assert not middle.passed and not middle.skipped
+        assert middle.counterexample == {"chain_count": 13, "middle_level_size": 12}
+
 
 class TestAgainstDeBruijnTengbergenKruyswijk:
     def test_same_chain_count_and_length_histogram(self, small_shape):

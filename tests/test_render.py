@@ -47,6 +47,22 @@ class TestRenderAscii:
         with pytest.raises(ValueError):
             parse_ascii("  1   2\n  3   4")
 
+    @pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "-4", "0"])
+    def test_parse_rejects_fill_tokens_render_never_writes(self, token):
+        # int() would read these as 10, 2, 3, -4, 0; render writes only
+        # ASCII decimals from 1 up, as parse_parts reads only ASCII decimals
+        with pytest.raises(ValueError, match="fill number"):
+            parse_ascii(f"alpha=0,0 alphaE=0,0\n  1   G\n  X {token:>3}")
+
+    @pytest.mark.parametrize(
+        "rows",
+        [["  1   2", "  3"], ["  1   2"], ["  1   2", "  3   4", "  5   6"]],
+        ids=["ragged", "too-few", "too-many"],
+    )
+    def test_parse_rejects_grid_not_of_alpha_rows(self, rows):
+        with pytest.raises(ValueError, match="rows of equal length"):
+            parse_ascii("\n".join(["alpha=0,0 alphaE=0,0", *rows]))
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
     def test_round_trip_random_alpha(self, m, n, pick):
         # random composition -> its chain start is a valid render input
