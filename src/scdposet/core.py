@@ -130,6 +130,9 @@ class Composition(Frozen):
             raise ValueError(f"expected {self.shape.m} parts, got {len(self.parts)}")
         n = self.shape.n
         for p in self.parts:
+            # a float passes the range test and fails later, in a chain walk
+            if p.__class__ is not int:
+                raise TypeError(f"part {p!r} is not an int in {self.parts}")
             if not 0 <= p <= n:
                 raise ValueError(f"part {p} outside [0, {n}] in {self.parts}")
 

@@ -3,13 +3,14 @@
 Every composition lies on exactly one chain of the decomposition; `locate`
 recovers that chain's start vector in O(m) by a single backward scan, and
 `certificate` packages the evidence (the start vector, the fill vector, and
-the rows where filling actually happened) with internal consistency checks.
+the rows where filling actually happened), checked in one more backward scan
+against the located start's end vector.
 """
 
 from __future__ import annotations
 
 from .core import Composition, Frozen, _set
-from .starts import StartVector, splitting_rows_parts
+from .starts import StartVector
 
 
 class CertificateError(RuntimeError):
@@ -64,44 +65,44 @@ class MembershipCertificate(Frozen):
 def certificate(c: Composition) -> MembershipCertificate:
     """Locate `c` and return the checked membership evidence.
 
-    Raises CertificateError if any of the structural identities relating the
-    fill vector, the splitting rows, and the end vector fails; for valid
-    inputs this never happens.
+    One backward scan over the rows reads the end vector e of the located
+    start alpha.  It checks that `c` lies on the chain `element_at` walks:
+    the fill c - alpha is non-negative, the topmost row with positive fill
+    stays within its capacity n - alpha - e, and every row below it is full
+    (c + e = n).  It also checks the block sums `locate_parts` splits on:
+    between consecutive fill rows the partial sums of alpha stay within the
+    complement sums of c, with equality at the upper fill row.  Raises
+    CertificateError if a check fails; for valid inputs this never happens.
     """
-    n = c.shape.n
-    m = c.shape.m
+    sv = locate(c)
+    m, n = c.shape.m, c.shape.n
     cparts = c.parts
-    aparts = locate_parts(cparts, n)
+    aparts = sv.parts
+    end = sv.end
     fill = tuple(x - y for x, y in zip(cparts, aparts))
-    if any(v < 0 for v in fill):
-        raise CertificateError(f"negative fill {fill} for c={cparts}")
+    unfull = 0  # the highest row scanned so far that is not full, 0 if none
+    top = m  # the fill row the current block started from
+    lhs = rhs = 0
+    for i in range(m, 0, -1):
+        ci = cparts[i - 1]
+        lhs += aparts[i - 1]
+        slack = n - ci - end[i - 1]  # the row's capacity left unfilled
+        f = fill[i - 1]
+        if f > 0:
+            if unfull:
+                raise CertificateError(f"row {unfull} of c={cparts} not saturated against alpha={aparts}")
+            if slack < 0:
+                raise CertificateError(f"fill row {i} of c={cparts} exceeds its capacity against alpha={aparts}")
+            if lhs != rhs:
+                raise CertificateError(f"block {i}..{top} of c={cparts} unbalanced: {lhs} != {rhs}")
+            lhs = rhs = 0
+            top = i
+        elif f < 0:
+            raise CertificateError(f"negative fill {fill} for c={cparts}")
+        elif lhs > rhs:
+            raise CertificateError(f"block {i}..{top} of c={cparts} overflows: {lhs} > {rhs}")
+        if slack:
+            unfull = i
+        rhs += n - ci  # the block sums of the rows above count this row's complement
     positive = frozenset(i + 1 for i, v in enumerate(fill) if v > 0) | {m}
-
-    # Rows that received fill must be splitting rows of alpha, and every row
-    # strictly below the topmost such row must be saturated: c plus the
-    # forbidden count there reaches n exactly.
-    split = set(splitting_rows_parts(aparts, n))
-    if not positive <= split:
-        raise CertificateError(f"fill rows {sorted(positive)} not all splitting for alpha={aparts}")
-    sv = StartVector(Composition(c.shape, aparts))
-    for t in range(min(positive) + 1, m + 1):
-        if cparts[t - 1] + sv.end[t - 1] != n:
-            raise CertificateError(f"row {t} of c={cparts} not saturated against alpha={aparts}")
-
-    # Block sums: scanning up from each fill row j, partial sums of alpha stay
-    # within the complement sums of c, with equality exactly at the next fill
-    # row below the scan.
-    for j in sorted(positive):
-        lhs = 0
-        rhs = 0
-        for i in range(j - 1, 0, -1):
-            lhs += aparts[i - 1]
-            rhs += n - cparts[i]
-            if fill[i - 1] > 0:
-                if lhs != rhs:
-                    raise CertificateError(f"block {i}..{j} of c={cparts} unbalanced: {lhs} != {rhs}")
-                break
-            if lhs > rhs:
-                raise CertificateError(f"block {i}..{j} of c={cparts} overflows: {lhs} > {rhs}")
-
     return MembershipCertificate(sv, fill, positive)

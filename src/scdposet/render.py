@@ -50,15 +50,20 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     """Parse render_ascii output back into (alpha parts, cell grid).
 
     Forbidden cells come back without their source row; everything else is
-    exact.  Raises ValueError on text `render_ascii` does not write: a fill
-    number that is not ASCII decimal digits or is below 1, ragged rows, or a
-    row count other than the number of parts of alpha.
+    exact.  Raises ValueError on text `render_ascii` does not write: a header
+    other than `alpha=<parts> alphaE=<parts>` with as many parts in each, a
+    fill number that is not ASCII decimal digits or is below 1, ragged rows,
+    a row count other than the number of parts of alpha, or a row i without
+    exactly alpha[i] fixed and alphaE[i] forbidden cells.
     """
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("alpha="):
-        raise ValueError("missing alpha= header line")
-    header = lines[0].split()
+    header = lines[0].split(" ") if lines else []
+    if len(header) != 2 or not header[0].startswith("alpha=") or not header[1].startswith("alphaE="):
+        raise ValueError("header line is not alpha=<parts> alphaE=<parts>")
     alpha = parse_parts(header[0].removeprefix("alpha="))
+    alpha_end = parse_parts(header[1].removeprefix("alphaE="))
+    if len(alpha_end) != len(alpha):
+        raise ValueError(f"header has {len(alpha)} parts of alpha but {len(alpha_end)} of alphaE")
     rows = []
     for line in lines[1:]:
         row: list = []
@@ -74,6 +79,10 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
         rows.append(tuple(row))
     if len(rows) != len(alpha) or len({len(row) for row in rows}) > 1:
         raise ValueError(f"expected {len(alpha)} rows of equal length, got {[len(row) for row in rows]} cells per row")
+    for i, (row, a, e) in enumerate(zip(rows, alpha, alpha_end), 1):
+        fixed, forbidden = row.count(Fixed()), row.count(Forbidden())
+        if (fixed, forbidden) != (a, e):
+            raise ValueError(f"row {i} holds {fixed} fixed and {forbidden} forbidden cells, the header says {a} and {e}")
     return alpha, tuple(rows)
 
 

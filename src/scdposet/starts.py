@@ -9,11 +9,12 @@ A start vector on an m-by-n grid is a composition alpha with
 
 Each start vector indexes exactly one chain of the decomposition.  This
 module answers membership, enumerates the whole set in lexicographic order
-without scanning the full grid poset, computes the splitting rows and the
-per-row forbidden-cell counts ("end vector") in one O(m) forward scan each,
-and implements the induced involution psi.  A `StartVector` is certified
-once and carries its end vector as `.end`, computed on construction;
-everything that reads the end vector of a certified start reads that field.
+without scanning the full grid poset, computes the per-row forbidden-cell
+counts ("end vector") in one O(m) forward scan over the blocks between
+splitting rows, and implements the induced involution psi.  A `StartVector`
+is certified once and carries its end vector as `.end`, computed on
+construction; everything that reads the end vector of a certified start
+reads that field.
 """
 
 from __future__ import annotations
@@ -80,45 +81,26 @@ class StartVector(Frozen):
         return self.alpha.parts
 
 
-def splitting_rows_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Splitting row indices (1-based) of a start vector, ending at row m.
+def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Per-row forbidden-cell counts of the chain tableau, by block formula.
 
     Row 1 splits.  From a splitting row p, the next splitting row is q+1 for
     the smallest q in p..m-1 with
 
-        sum(parts[p..q]) <= sum(n - parts[i] for i in p+1..q+1).
+        sum(parts[p..q]) <= sum(n - parts[i] for i in p+1..q+1)
 
-    One forward scan over the rows keeps those two block sums and resets them
-    whenever a block closes, so the cost is O(m).  The membership
-    inequalities guarantee the last block closes at row m; if it does not,
-    `parts` is no start vector and NotStartVectorError is raised.
-    """
-    rows = [1]
-    lhs = rhs = 0
-    for i in range(len(parts) - 1):
-        lhs += parts[i]
-        rhs += n - parts[i + 1]
-        if lhs <= rhs:
-            rows.append(i + 2)
-            lhs = rhs = 0
-    if lhs > rhs:
-        raise NotStartVectorError(f"splitting recursion ran off the grid for {parts}")
-    return tuple(rows)
+    (1-based).  Between consecutive splitting rows q < q' the counts are
+    n - parts[j] for the interior rows j, and the count at q' is whatever
+    remains of the block total sum(parts[q..q'-1]).  Row 1 never holds
+    forbidden cells.
 
-
-def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Per-row forbidden-cell counts of the chain tableau, by block formula.
-
-    Between consecutive splitting rows q < q' the counts are n - parts[j] for
-    the interior rows j, and the count at q' is whatever remains of the block
-    total sum(parts[q..q'-1]).  Row 1 never holds forbidden cells.
-
-    Computed in the forward block scan of `splitting_rows_parts`, without
-    building the rows: each step adds parts[i] to lhs and f = n - parts[i+1]
-    to rhs.  While lhs > rhs the block stays open and row i+1 (0-based) is
-    interior, so it gets f; otherwise the block closes there and row i+1 gets
-    the remainder lhs - (rhs - f).  Raises NotStartVectorError where
-    `splitting_rows_parts` does.
+    One forward scan keeps the two block sums, without building the rows:
+    each step adds parts[i] to lhs and f = n - parts[i+1] to rhs.  While
+    lhs > rhs the block stays open and row i+1 (0-based) is interior, so it
+    gets f; otherwise the block closes there, row i+1 gets the remainder
+    lhs - (rhs - f), and both sums reset, so the cost is O(m).  The
+    membership inequalities guarantee the last block closes at row m; if it
+    does not, `parts` is no start vector and NotStartVectorError is raised.
     """
     end = [0]
     lhs = rhs = 0

@@ -29,15 +29,17 @@ SMALL_SHAPES = [
 ]
 
 
-def shift_one_forbidden_cell(original):
+def shift_one_forbidden_cell(original, upward=True):
     """A planted fault: `original` end vectors with one forbidden cell moved
-    from row m to row m-1, keeping the sum."""
+    from row m to row m-1, or from row m-1 to row m when not `upward`,
+    keeping the sum."""
+    src, dst = (-1, -2) if upward else (-2, -1)
 
     def shifted(parts, n):
         end = list(original(parts, n))
-        if end[-1] > 0 and parts[-2] + end[-2] < n:
-            end[-1] -= 1
-            end[-2] += 1
+        if len(end) > 1 and end[src] > 0 and parts[dst] + end[dst] < n:
+            end[src] -= 1
+            end[dst] += 1
         return tuple(end)
 
     return shifted

@@ -180,6 +180,16 @@ class TestPsiCommand:
         assert out == ""
         assert err.startswith("error: psi image of (1, 0) rejected: ")
 
+    def test_psi_psi_mismatch_exits_2(self, capsys, monkeypatch):
+        # with one forbidden cell moved from row 4 to row 3, psi sends
+        # (0, 0, 1, 0) to the start (0, 1, 0, 0), which it maps to itself
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        code, out, err = run(capsys, "psi", "--alpha", "0,0,1,0", "-n", "2")
+        assert code == 2
+        assert out == ""
+        assert err == "error: psi(psi((0, 0, 1, 0))) gave (0, 1, 0, 0)\n"
+
     def test_input_not_a_start_vector_exits_1(self, capsys):
         code, out, err = run(capsys, "psi", "--alpha", "2,2,0", "-n", "2")
         assert code == 1

@@ -57,6 +57,13 @@ class TestShapeAndComposition:
         with pytest.raises(TypeError):
             Composition(GridShape(2, 3), [1, 2])
 
+    @pytest.mark.parametrize("parts", [(1.0, 0), (0, 2.5), (True, 0)])
+    def test_composition_refuses_parts_that_are_not_ints(self, parts):
+        # (1.0, 0) used to be built and certified as a start vector, and fail
+        # only when its chain was walked
+        with pytest.raises(TypeError, match="is not an int"):
+            Composition(GridShape(2, 3), parts)
+
     def test_part_count_must_match(self):
         with pytest.raises(ValueError):
             Composition(GridShape(3, 2), (1, 2))

@@ -306,6 +306,70 @@ class TestVerify:
         assert involution.counterexample["reason"] == "rotated tableau differs"
         assert involution.counterexample["alpha"] == [0, 1, 0]
 
+    def test_involution_reports_psi_image_that_psi_refuses(self, monkeypatch):
+        # a psi that certifies a start's image but refuses to map an image
+        # it made: the first start of the pass is the counterexample
+        module = importlib.import_module("scdposet.decompose")
+        psi = module.psi
+        images = []
+
+        def psi_once(sv):
+            if any(sv is image for image in images):
+                raise scdposet.starts.NotStartVectorError(f"{sv.parts} refused")
+            images.append(psi(sv))
+            return images[-1]
+
+        monkeypatch.setattr(module, "psi", psi_once)
+        involution = verify(GridShape(3, 3)).check("involution")
+        assert involution.counterexample == {
+            "alpha": [0, 0, 0],
+            "psi": [0, 0, 0],
+            "reason": "psi(psi(alpha)) is not a start vector",
+        }
+
+    def test_involution_reports_psi_psi_that_is_not_alpha(self, monkeypatch):
+        # with one forbidden cell moved from row 4 to row 3, psi sends
+        # (0, 0, 1, 0) to the start (0, 1, 0, 0), which it maps to itself
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        involution = verify(GridShape(4, 2)).check("involution")
+        assert involution.counterexample == {"alpha": [0, 0, 1, 0], "psi": [0, 1, 0, 0], "psi_psi": [0, 1, 0, 0]}
+
+    def test_involution_catches_image_chain_of_another_length(self, monkeypatch):
+        # the chains of the pass are honest, but the chain built for each psi
+        # image loses its last element
+        module = importlib.import_module("scdposet.decompose")
+        chain_elements = module.chain_elements
+
+        def honest_decompose(shape):
+            for parts in module.iter_start_parts(shape):
+                yield chain_elements(StartVector(Composition(shape, parts)))
+
+        def short_chain(sv):
+            return Chain(sv, chain_elements(sv).elements[:-1])
+
+        monkeypatch.setattr(module, "decompose", honest_decompose)
+        monkeypatch.setattr(module, "chain_elements", short_chain)
+        report = verify(GridShape(3, 3))
+        assert report.check("partition").passed
+        assert report.check("involution").counterexample == {
+            "alpha": [0, 1, 0],
+            "psi": [1, 0, 0],
+            "reason": "chain is not the reversed star",
+        }
+
+    def test_disjoint_reports_failed_random_round_trip(self, monkeypatch):
+        # the sampled chains locate back to their starts, so only the random
+        # round trips, which probe membership by random access, can fail
+        module = importlib.import_module("scdposet.decompose")
+        monkeypatch.setattr(module, "chain_contains", lambda sv, c: False)
+        disjoint = verify(GridShape(4, 4), cap=100, sample=8).check("disjoint")
+        assert disjoint.message == "sampled 8 chains; 8 random round trips"
+        assert not disjoint.passed
+        element = disjoint.counterexample["element"]
+        assert len(element) == 4 and all(0 <= p <= 4 for p in element)
+        assert disjoint.counterexample == {"element": element, "located": list(module.locate_parts(tuple(element), 4))}
+
 
 def reference_partition(m, n, chains):
     """The partition verdict from definitions: a dict from element to start,

@@ -1,7 +1,13 @@
+import importlib
+import re
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scdposet.starts
 from scdposet import (
+    CertificateError,
     Composition,
     GridShape,
     StartVector,
@@ -15,9 +21,12 @@ from scdposet import (
     psi,
     rank,
 )
-from scdposet.starts import is_start_parts, iter_start_parts
+from scdposet.starts import NotStartVectorError, is_start_parts, iter_start_parts
 
-from conftest import all_parts, literal_end_vector
+from conftest import SMALL_SHAPES, all_parts, literal_end_vector, literal_splitting_rows, shift_one_forbidden_cell
+
+# the module, not the `locate` function the package exports under its name
+locate_module = importlib.import_module("scdposet.locate")
 
 # Grids far too large to enumerate, where every operation below is O(m).  Half
 # the vectors take only the parts 0, 1, n-1 and n, so that the block sums of
@@ -117,6 +126,111 @@ class TestCertificate:
         assert chain_contains(cert.alpha, Composition.of(parts, n))
 
 
+def earlier_certificate_rejects(cparts, n):
+    """True where the certificate's earlier checks reject `cparts`: a
+    non-negative fill, fill rows that are all splitting rows of alpha (here by
+    the literal rule), saturated rows below the topmost fill row, and the
+    block sums scanned up from each fill row.  Reads `locate_parts` and the
+    end vector through the package, so that planted faults reach it."""
+    m = len(cparts)
+    aparts = locate_module.locate_parts(cparts, n)
+    fill = [x - y for x, y in zip(cparts, aparts)]
+    if min(fill) < 0:
+        return True
+    positive = {i + 1 for i, v in enumerate(fill) if v > 0} | {m}
+    rows = literal_splitting_rows(aparts, n)
+    if rows is None or not positive <= set(rows):
+        return True
+    try:
+        end = StartVector(Composition.of(aparts, n)).end
+    except NotStartVectorError:
+        return True
+    if any(cparts[t - 1] + end[t - 1] != n for t in range(min(positive) + 1, m + 1)):
+        return True
+    for j in positive:
+        lhs = rhs = 0
+        for i in range(j - 1, 0, -1):
+            lhs += aparts[i - 1]
+            rhs += n - cparts[i]
+            if fill[i - 1] > 0:
+                if lhs != rhs:
+                    return True
+                break
+            if lhs > rhs:
+                return True
+    return False
+
+
+def _lowered(c, n):
+    """The start of `c` with its last positive part lowered by one."""
+    i = max((i for i, p in enumerate(c) if p), default=None)
+    return locate_parts(c if i is None else c[:i] + (c[i] - 1,) + c[i + 1 :], n)
+
+
+END_FAULTS = {
+    "none": None,
+    "shift-up": shift_one_forbidden_cell,
+    "shift-down": lambda end: shift_one_forbidden_cell(end, upward=False),
+}
+LOCATE_FAULTS = {
+    "none": None,
+    "zero": lambda c, n: (0,) * len(c),
+    "lowered": _lowered,
+    "reversed-input": lambda c, n: locate_parts(c[::-1], n),
+}
+
+
+class TestCertificateFaults:
+    @pytest.mark.parametrize("end_fault", END_FAULTS)
+    @pytest.mark.parametrize("locate_fault", LOCATE_FAULTS)
+    def test_rejects_every_input_the_earlier_checks_reject(self, monkeypatch, end_fault, locate_fault):
+        # the chain-membership scan replaced a subset check against the
+        # splitting rows; under planted faults it must still reject at least
+        # what the earlier checks did, on every composition of every small grid
+        if END_FAULTS[end_fault]:
+            monkeypatch.setattr(scdposet.starts, "alpha_end_parts", END_FAULTS[end_fault](scdposet.starts.alpha_end_parts))
+        if LOCATE_FAULTS[locate_fault]:
+            monkeypatch.setattr(locate_module, "locate_parts", LOCATE_FAULTS[locate_fault])
+        earlier = 0
+        for m, n in SMALL_SHAPES:
+            for parts in all_parts(m, n):
+                if earlier_certificate_rejects(parts, n):
+                    earlier += 1
+                    with pytest.raises((CertificateError, NotStartVectorError)):
+                        certificate(Composition.of(parts, n))
+        assert (earlier > 0) == (end_fault != "none" or locate_fault != "none")
+
+    def test_catches_forbidden_cell_moved_to_the_last_row(self, monkeypatch):
+        # with one forbidden cell moved from row 2 to row 3, the chain of
+        # (1, 0, 0) no longer reaches 2 in row 3; the splitting rows of the
+        # start, (1, 2, 3), did not see that
+        shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts, upward=False)
+        monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
+        with pytest.raises(CertificateError, match=re.escape("fill row 3 of c=(1, 0, 2) exceeds its capacity")):
+            certificate(Composition.of((1, 0, 2), 2))
+
+    @pytest.mark.parametrize(
+        "c, n, start, shift_end, message",
+        [
+            ((0, 0), 1, (1, 0), False, "negative fill (-1, 0) for c=(0, 0)"),
+            ((0, 1), 1, (1, 0), False, "fill row 2 of c=(0, 1) exceeds its capacity against alpha=(1, 0)"),
+            ((1, 0), 1, (0, 0), False, "row 2 of c=(1, 0) not saturated against alpha=(0, 0)"),
+            ((2, 3), 3, (1, 0), True, "block 1..2 of c=(2, 3) unbalanced: 1 != 0"),
+            ((1, 2), 2, (1, 0), True, "block 1..2 of c=(1, 2) overflows: 1 > 0"),
+        ],
+        ids=["negative", "capacity", "saturated", "unbalanced", "overflows"],
+    )
+    def test_each_check_fires(self, monkeypatch, c, n, start, shift_end, message):
+        # a wrong start alone breaks chain membership; the block sums fail
+        # first only when the end vector is wrong as well
+        monkeypatch.setattr(locate_module, "locate_parts", lambda parts, n: start)
+        if shift_end:
+            monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shift_one_forbidden_cell(scdposet.starts.alpha_end_parts))
+        with pytest.raises(CertificateError) as raised:
+            certificate(Composition.of(c, n))
+        assert str(raised.value) == message
+
+
 class TestAgainstDecomposition:
     def test_locate_agrees_with_full_decomposition(self):
         shape = GridShape(3, 3)
@@ -137,3 +251,10 @@ class TestLargeGrids:
         assert sv.end == literal_end_vector(sv.parts, c.shape.n)
         assert element_at(sv, rank(c) - rank(sv.alpha)) == c
         assert psi(psi(sv)) == sv
+
+    @settings(max_examples=50, deadline=None)
+    @given(large_compositions)
+    def test_certificate_never_raises_on_valid_input(self, c):
+        cert = certificate(c)
+        assert tuple(map(int.__add__, cert.alpha.parts, cert.fill_vector)) == c.parts
+        assert chain_contains(cert.alpha, c)

@@ -63,6 +63,21 @@ class TestRenderAscii:
         with pytest.raises(ValueError, match="rows of equal length"):
             parse_ascii("\n".join(["alpha=0,0 alphaE=0,0", *rows]))
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alpha=0,0 alphaE=9,9,9 junk\n  1   2\n  3   4", "header line"),
+            ("alpha=0,0\n  3   4\n  1   2", "header line"),
+            ("alpha=0,0 alphaE=0\n  3   4\n  1   2", "2 parts of alpha but 1 of alphaE"),
+            ("alpha=5,5 alphaE=0,0\n  G   G\n  G   G", "row 1 holds 2 fixed and 0 forbidden cells, the header says 5 and 0"),
+            ("alpha=0,0 alphaE=0,1\n  3   4\n  1   2", "row 2 holds 0 fixed and 0 forbidden cells, the header says 0 and 1"),
+        ],
+        ids=["extra-header-fields", "no-alphaE", "short-alphaE", "alpha-over-grid", "missing-forbidden-cell"],
+    )
+    def test_parse_rejects_header_or_cell_counts_render_never_writes(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_ascii(text)
+
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
     def test_round_trip_random_alpha(self, m, n, pick):
         # random composition -> its chain start is a valid render input

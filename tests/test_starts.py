@@ -19,7 +19,7 @@ from scdposet import (
     render_ascii,
     verify,
 )
-from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts, splitting_rows_parts
+from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts
 
 from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_splitting_rows
 
@@ -62,29 +62,6 @@ class TestIsStart:
     def test_start_vector_construction_guard(self):
         with pytest.raises(NotStartVectorError):
             StartVector.of((2, 2, 0), 2)
-
-
-class TestSplittingRows:
-    def test_worked_example(self):
-        assert splitting_rows_parts((2, 0, 5, 0), 6) == (1, 2, 3, 4)
-
-    def test_block_of_length_two(self):
-        # row 3 is skipped: 3 > 4-2 at q=2, then 3+2 <= (4-2)+(4-0)
-        assert splitting_rows_parts((1, 3, 2, 0), 4) == (1, 2, 4)
-
-    def test_zero_vector_every_row_splits(self):
-        assert splitting_rows_parts((0,) * 6, 3) == (1, 2, 3, 4, 5, 6)
-
-    def test_matches_literal_recursion(self, small_shape):
-        n = small_shape.n
-        for parts in iter_start_parts(small_shape):
-            assert splitting_rows_parts(parts, n) == literal_splitting_rows(parts, n), parts
-
-    def test_ends_at_last_row(self, small_shape):
-        for parts in iter_start_parts(small_shape):
-            rows = splitting_rows_parts(parts, small_shape.n)
-            assert rows[0] == 1 and rows[-1] == small_shape.m
-            assert list(rows) == sorted(set(rows))
 
 
 class TestAlphaEnd:
@@ -158,7 +135,7 @@ class TestAlphaEnd:
         # the capacity below, and lands at or under it on the last row
         n = small_shape.n
         for parts in iter_start_parts(small_shape):
-            rows = splitting_rows_parts(parts, n)
+            rows = literal_splitting_rows(parts, n)
             for qk, qk1 in zip(rows, rows[1:]):
                 lhs = 0
                 rhs = 0
@@ -175,8 +152,6 @@ class TestBlockScanRaises:
     def test_last_block_never_closes(self):
         # (1, 1, 0), n = 1: the block opened at row 1 is still open at row 3
         with pytest.raises(NotStartVectorError):
-            splitting_rows_parts((1, 1, 0), 1)
-        with pytest.raises(NotStartVectorError):
             alpha_end_parts((1, 1, 0), 1)
 
     @pytest.mark.parametrize("m, n", [mn for mn in SMALL_SHAPES if mn[0] <= 4])
@@ -188,11 +163,8 @@ class TestBlockScanRaises:
             if rows is None:
                 stopped += 1
                 with pytest.raises(NotStartVectorError):
-                    splitting_rows_parts(parts, n)
-                with pytest.raises(NotStartVectorError):
                     alpha_end_parts(parts, n)
             else:
-                assert splitting_rows_parts(parts, n) == rows, parts
                 assert alpha_end_parts(parts, n) == literal_end_vector(parts, n), parts
         assert stopped > 0 or m == 1
 
