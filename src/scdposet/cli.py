@@ -10,20 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .core import Composition, GridShape, parse_parts
-from .decompose import (
-    DEFAULT_CAP,
-    MAX_STATS_WORK,
-    SAMPLE_STARTS,
-    decompose,
-    level_sizes,
-    verify,
-)
+from .decompose import DEFAULT_CAP, MAX_STATS_WORK, SAMPLE_STARTS, level_sizes, verify
 from .locate import certificate
 from .render import MAX_RENDER_CELLS, render_ascii, render_svg, tableau_payload
 from .starts import StartVector, iter_start_parts, psi
-from .tableau import Chain, build_tableau, chain_elements
+from .tableau import build_tableau, fill_walk
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,34 +70,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _start_vector(text: str, n: int) -> StartVector:
-    return StartVector(Composition.of(parse_parts(text), n))
-
-
-# Elements joined per write on the chain paths.  One join over a long chain
-# holds its whole text next to the element tuples: `chain --alpha 0,0 -n
-# 200000` peaked at 86 MB of RSS unchunked and 57 MB in slices of this size
-# (Python 3.11, 2 vCPU).
+# Elements joined per write on the chain paths, so a long chain's text is
+# never held whole next to its element strings.
 _CHUNK = 4096
 
 
-def _write_chain(ch: Chain) -> None:
-    """Write the chain as one JSON line, byte-identical to the compact `json` encoding."""
-    alpha = ch.alpha
-    shape = alpha.shape
-    # one C-level call formats a whole m-part tuple as a JSON array
-    fmt = ("[" + ",".join(["%d"] * shape.m) + "]").__mod__
-    els = ch.elements
+def _write_chain(sv: StartVector) -> None:
+    """Write the chain of `sv` as one JSON line, byte-identical to the compact `json` encoding."""
+    els = fill_walk(sv, partial(map, str), ",".join)
     write = sys.stdout.write
     write(
-        '{"m":%d,"n":%d,"alpha":%s,"alpha_end":%s,"start":%s,"end":%s,"elements":['
-        % (shape.m, shape.n, fmt(alpha.parts), fmt(alpha.end), fmt(els[0]), fmt(els[-1]))
+        '{"m":%d,"n":%d,"alpha":[%s],"alpha_end":[%s],"start":[%s],"end":[%s],"elements":[['
+        % (sv.shape.m, sv.shape.n, els[0], ",".join(map(str, sv.end)), els[0], els[-1])
     )
     for i in range(0, len(els), _CHUNK):
         if i:
-            write(",")
-        write(",".join(map(fmt, els[i : i + _CHUNK])))
-    write("]}\n")
+            write("],[")
+        write("],[".join(els[i : i + _CHUNK]))
+    write("]]}\n")
 
 
 # json.dumps would build this encoder on every call.
@@ -117,7 +101,7 @@ def _emit(obj) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chain":
-        _write_chain(chain_elements(_start_vector(args.alpha, args.n)))
+        _write_chain(StartVector.of(parse_parts(args.alpha), args.n))
         return 0
 
     if args.command == "starts":
@@ -129,8 +113,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "decompose":
-        for ch in decompose(GridShape(args.m, args.n)):
-            _write_chain(ch)
+        shape = GridShape(args.m, args.n)
+        for parts in iter_start_parts(shape):
+            _write_chain(StartVector(Composition(shape, parts)))
         return 0
 
     if args.command == "locate":
@@ -149,7 +134,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "psi":
-        sv = _start_vector(args.alpha, args.n)
+        sv = StartVector.of(parse_parts(args.alpha), args.n)
         try:
             image = psi(sv)
             back = psi(image)
@@ -180,7 +165,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.passed else 2
 
     if args.command == "render":
-        sv = _start_vector(args.alpha, args.n)
+        sv = StartVector.of(parse_parts(args.alpha), args.n)
         if sv.shape.top_rank > MAX_RENDER_CELLS:
             raise ValueError(f"grid of {sv.shape.top_rank} cells exceeds the render limit of {MAX_RENDER_CELLS}")
         t = build_tableau(sv)

@@ -53,8 +53,9 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     exact.  Raises ValueError on text `render_ascii` does not write: a header
     other than `alpha=<parts> alphaE=<parts>` with as many parts in each, a
     fill number that is not ASCII decimal digits or is below 1, ragged rows,
-    a row count other than the number of parts of alpha, or a row i without
-    exactly alpha[i] fixed and alphaE[i] forbidden cells.
+    a row count other than the number of parts of alpha, a row i without
+    exactly alpha[i] fixed and alphaE[i] forbidden cells, or K fill numbers
+    that are not 1..K read bottom to top and left to right.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     header = lines[0].split(" ") if lines else []
@@ -83,6 +84,9 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
         fixed, forbidden = row.count(Fixed()), row.count(Forbidden())
         if (fixed, forbidden) != (a, e):
             raise ValueError(f"row {i} holds {fixed} fixed and {forbidden} forbidden cells, the header says {a} and {e}")
+    orders = [cell.order for row in reversed(rows) for cell in row if isinstance(cell, Fillable)]
+    if orders != list(range(1, len(orders) + 1)):
+        raise ValueError(f"fill numbers are not 1..{len(orders)} read bottom to top, left to right")
     return alpha, tuple(rows)
 
 

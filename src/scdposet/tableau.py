@@ -16,14 +16,18 @@ end point.  Those chains, over all start vectors, partition the poset.
 Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
 (`StartVector.end`, the closed form for the forbidden counts, computed once
 when the start is certified), so chains are built from e alone and never
-color a grid.  Every row is a fixed prefix, one free run and a forbidden
-suffix, so the greedy rule of pass 2 also runs on per-row counts alone
-(`greedy_counts`); verify's cross-checks against the closed form read those
-counts.  The greedy grid here is deliberately literal; it serves rendering
-and is the tests' reference for `greedy_counts`.
+color a grid.  One walk over e (`fill_walk`) builds every chain, as parts
+tuples for `chain_elements` and as JSON array text for the CLI.  Every row
+is a fixed prefix, one free run and a forbidden suffix, so the greedy rule
+of pass 2 also runs on per-row counts alone (`greedy_counts`); verify's
+cross-checks against the closed form read those counts.  The greedy grid
+here is deliberately literal; it serves rendering and is the tests'
+reference for `greedy_counts`.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 from .core import Composition, Frozen, GridShape, _set, rank
 from .starts import StartVector
@@ -169,22 +173,28 @@ class Chain(Frozen):
         return len(self.elements)
 
 
-def chain_elements(alpha: StartVector) -> Chain:
-    """Materialize the chain of `alpha` by walking its end vector.
+def fill_walk(alpha: StartVector, cells: Callable, make: Callable) -> list:
+    """`make(cur)` for each element of the chain of `alpha`, in increasing rank.
 
-    The walk is the tableau's fill order: the bottom row first, up to its
-    capacity n - alpha[i] - e[i], then the row above, and so on.
+    `cur` starts as `cells(alpha.parts)`; in fill order, bottom row first,
+    row i then takes `cells(range(alpha[i] + 1, n - e[i] + 1))`, so a part is
+    converted once, where its row changes.
     """
     parts = alpha.parts
     n = alpha.shape.n
     end = alpha.end
-    cur = list(parts)
-    elements = [parts]
+    cur = list(cells(parts))
+    out = [make(cur)]
     for i in range(len(parts) - 1, -1, -1):
-        for _ in range(n - parts[i] - end[i]):
-            cur[i] += 1
-            elements.append(tuple(cur))
-    return Chain(alpha, tuple(elements))
+        if parts[i] + end[i] < n:  # most rows of a short chain are full; build no empty iterator
+            for cur[i] in cells(range(parts[i] + 1, n - end[i] + 1)):
+                out.append(make(cur))
+    return out
+
+
+def chain_elements(alpha: StartVector) -> Chain:
+    """Materialize the chain of `alpha` as parts tuples, from `fill_walk`."""
+    return Chain(alpha, tuple(fill_walk(alpha, iter, tuple)))
 
 
 def element_at(alpha: StartVector, j: int) -> Composition:

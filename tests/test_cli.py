@@ -17,7 +17,7 @@ from scdposet import GridShape, StartVector, chain_elements, cli, decompose, for
 from scdposet.decompose import CheckResult, VerificationReport
 from scdposet.starts import iter_start_parts
 
-from conftest import SMALL_SHAPES, shift_one_forbidden_cell
+from conftest import SMALL_SHAPES, dbtk_chains, literal_end_vector, shift_one_forbidden_cell
 
 
 def run(capsys, *argv):
@@ -139,6 +139,29 @@ class TestChainLineBytes:
         code, out, _ = run(capsys, "starts", "-m", str(m), "-n", str(n))
         assert code == 0
         assert out == "".join(format_parts(parts) + "\n" for parts in iter_start_parts(GridShape(m, n)))
+
+
+class TestDecomposeLinesAgainstOracles:
+    """The `decompose` JSONL against oracles that share no code with the
+    walk: the dBTK chains and the literal end vector of conftest.  (2, 12)
+    and (3, 10) have multi-digit parts."""
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(2, 12), (3, 10)])
+    def test_lines_are_the_dbtk_chains(self, capsys, m, n):
+        code, out, _ = run(capsys, "decompose", "-m", str(m), "-n", str(n))
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        got = [tuple(map(tuple, line["elements"])) for line in lines]
+        classical = dbtk_chains(m, n)
+        assert len(got) == len(classical)
+        assert set(got) == {tuple(chain) for chain in classical}
+        for line in lines:
+            els = line["elements"]
+            assert (line["m"], line["n"]) == (m, n)
+            assert line["alpha"] == line["start"] == els[0]
+            assert line["end"] == els[-1]
+            assert tuple(line["alpha_end"]) == literal_end_vector(tuple(line["alpha"]), n)
+            assert line["end"] == [n - e for e in line["alpha_end"]]
 
 
 class TestLocateCommand:

@@ -55,6 +55,22 @@ class TestRenderAscii:
             parse_ascii(f"alpha=0,0 alphaE=0,0\n  1   G\n  X {token:>3}")
 
     @pytest.mark.parametrize(
+        "text",
+        [
+            "alpha=0,0 alphaE=0,0\n  7   7\n  7   7",
+            "alpha=0,0 alphaE=0,0\n  3   4\n  2   1",
+            "alpha=0,0 alphaE=0,0\n  1   2\n  3   4",
+            "alpha=0,0 alphaE=0,0\n  3   5\n  1   2",
+            "alpha=1,3,2,0 alphaE=0,1,2,3\n  G   3   2   4\n  G   G   G   X\n  G   G   X   X\n  1   X   X   X",
+        ],
+        ids=["one-number-four-times", "swapped-pair", "numbered-top-down", "gap", "swapped-pair-worked-example"],
+    )
+    def test_parse_rejects_fill_numbers_render_never_writes(self, text):
+        # render numbers the K fillable cells 1..K bottom to top, left to right
+        with pytest.raises(ValueError, match=r"fill numbers are not 1\.\.4 read bottom to top, left to right"):
+            parse_ascii(text)
+
+    @pytest.mark.parametrize(
         "rows",
         [["  1   2", "  3"], ["  1   2"], ["  1   2", "  3   4", "  5   6"]],
         ids=["ragged", "too-few", "too-many"],

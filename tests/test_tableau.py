@@ -1,4 +1,6 @@
 import json
+import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -18,6 +20,7 @@ from scdposet import (
     covers,
     decompose,
     element_at,
+    locate,
     psi,
     rotate_180,
     star,
@@ -25,7 +28,7 @@ from scdposet import (
 )
 from scdposet import cli, tableau
 from scdposet.starts import alpha_end_parts, iter_start_parts
-from scdposet.tableau import build_grid_cells, greedy_counts
+from scdposet.tableau import build_grid_cells, fill_walk, greedy_counts
 
 from conftest import SMALL_SHAPES
 
@@ -188,6 +191,39 @@ class TestChainElements:
                 for i in range(f + 1, len(fill)):
                     assert fill[i] == caps[i], (sv.parts, el)
                     assert el[i] + end[i] == n
+
+
+def seeded_start(seed, m, n):
+    """The start of the chain through a seeded random composition of N(m, n)."""
+    rng = random.Random(seed)
+    return locate(Composition.of([rng.randint(0, n) for _ in range(m)], n))
+
+
+class TestFillWalk:
+    """`chain_elements` takes the walk's tuples and the CLI its text; the two
+    outputs must agree element by element."""
+
+    @staticmethod
+    def both(sv):
+        text = fill_walk(sv, partial(map, str), ",".join)
+        tuples = fill_walk(sv, iter, tuple)
+        return text, tuples
+
+    @pytest.mark.parametrize(
+        "sv",
+        [StartVector.of((0, 0), 3000), seeded_start(1, 3, 5000)],
+        ids=["chain-0,0-n3000", "seeded-N(3,5000)"],
+    )
+    def test_text_and_tuples_agree_past_a_slice(self, sv):
+        text, tuples = self.both(sv)
+        assert len(text) == len(tuples) > cli._CHUNK
+        assert max(max(el) for el in tuples) >= 1000
+        assert text == [",".join(map(str, el)) for el in tuples]
+
+    def test_text_and_tuples_agree_on_small_shapes(self, small_shape):
+        for parts in iter_start_parts(small_shape):
+            text, tuples = self.both(StartVector.of(parts, small_shape.n))
+            assert text == [",".join(map(str, el)) for el in tuples]
 
 
 class TestElementAt:
