@@ -115,7 +115,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "decompose":
         shape = GridShape(args.m, args.n)
         for parts in iter_start_parts(shape):
-            _write_chain(StartVector(Composition(shape, parts)))
+            _write_chain(StartVector(Composition._derived(shape, parts)))
         return 0
 
     if args.command == "locate":

@@ -17,6 +17,14 @@ signature and defaults, builds the values the hot paths create on every
 chain without a generic loop, sets the fields with `object.__setattr__` and
 then calls `self.__post_init__()` by attribute lookup, so the construction
 checks can be wrapped on the class.
+
+`__post_init__` runs on every construction but one: `Composition._derived`
+sets the fields unchecked.  Its one rule: the parts are `int`s the package
+derived from validated values and provably lie in [0, n], as do the start
+`locate` returns, the element `element_at` returns and the odometer's
+starts (each start is still certified by `StartVector`).  Outside input and
+psi images, whose check certifies the end-vector formula, always go
+through the constructor.
 """
 
 from __future__ import annotations
@@ -135,6 +143,14 @@ class Composition(Frozen):
                 raise TypeError(f"part {p!r} is not an int in {self.parts}")
             if not 0 <= p <= n:
                 raise ValueError(f"part {p} outside [0, {n}] in {self.parts}")
+
+    @classmethod
+    def _derived(cls, shape: GridShape, parts: tuple[int, ...]) -> "Composition":
+        """A composition built without `__post_init__`, under the rule in the module docstring."""
+        self = object.__new__(cls)
+        _set(self, "shape", shape)
+        _set(self, "parts", parts)
+        return self
 
     @classmethod
     def of(cls, parts, n: int) -> "Composition":

@@ -22,7 +22,7 @@ from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, Frozen, GridShape, Record, _set
-from .locate import locate_parts
+from .locate import locate, locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
 
@@ -102,7 +102,7 @@ def middle_level_size(shape: GridShape) -> int:
 def decompose(shape: GridShape) -> Iterator[Chain]:
     """Stream every chain of the decomposition in lexicographic start order."""
     for parts in iter_start_parts(shape):
-        yield chain_elements(StartVector(Composition(shape, parts)))
+        yield chain_elements(StartVector(Composition._derived(shape, parts)))
 
 
 def chain_length_histogram(shape: GridShape) -> dict[int, int]:
@@ -424,9 +424,9 @@ def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | Non
     n = shape.n
     for _ in range(count):
         c = Composition(shape, tuple(rng.randint(0, n) for _ in range(shape.m)))
-        aparts = locate_parts(c.parts, n)
-        if not chain_contains(StartVector(Composition(shape, aparts)), c):
-            return {"element": list(c.parts), "located": list(aparts)}
+        sv = locate(c)
+        if not chain_contains(sv, c):
+            return {"element": list(c.parts), "located": list(sv.parts)}
     return None
 
 
@@ -486,7 +486,7 @@ def verify(
         values = (_StartValue(ch.alpha, ch.elements) for ch in decompose(shape))
     else:
         starts = iter_start_parts(shape)
-        values = (_StartValue(StartVector(Composition(shape, parts))) for parts in islice(starts, sample))
+        values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
         finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), f"; {sample} random round trips"
 
     running = list(checks)

@@ -44,7 +44,8 @@ def locate_parts(c: tuple[int, ...], n: int) -> tuple[int, ...]:
 
 def locate(c: Composition) -> StartVector:
     """The unique start vector whose chain contains `c`."""
-    return StartVector(Composition(c.shape, locate_parts(c.parts, c.shape.n)))
+    # each part of locate_parts(c) lies in [0, c_i], so it needs no range check
+    return StartVector(Composition._derived(c.shape, locate_parts(c.parts, c.shape.n)))
 
 
 class MembershipCertificate(Frozen):

@@ -8,13 +8,16 @@ A start vector on an m-by-n grid is a composition alpha with
     (1-based indices).
 
 Each start vector indexes exactly one chain of the decomposition.  This
-module answers membership, enumerates the whole set in lexicographic order
-without scanning the full grid poset, computes the per-row forbidden-cell
-counts ("end vector") in one O(m) forward scan over the blocks between
-splitting rows, and implements the induced involution psi.  A `StartVector`
-is certified once and carries its end vector as `.end`, computed on
-construction; everything that reads the end vector of a certified start
-reads that field.
+module enumerates the whole set in lexicographic order without scanning the
+full grid poset, computes the per-row forbidden-cell counts ("end vector")
+in one O(m) forward scan over the blocks between splitting rows, and
+implements the induced involution psi.  Membership is decided by
+constructing a `StartVector`: the last part and the rank bound are compared
+directly, and the suffix inequalities hold exactly when the end-vector scan
+closes its last block, so certifying a start is that one scan.  A
+`StartVector` is certified once and carries its end vector as `.end`,
+computed on construction; everything that reads the end vector of a
+certified start reads that field.
 """
 
 from __future__ import annotations
@@ -26,25 +29,6 @@ from .core import Composition, Frozen, GridShape, _set
 
 class NotStartVectorError(ValueError):
     """Raised when a composition is used as a chain start but is not one."""
-
-
-def is_start_parts(parts: tuple[int, ...], n: int) -> bool:
-    """Membership test on a raw parts tuple. O(m)."""
-    m = len(parts)
-    if parts[m - 1] != 0:
-        return False
-    # The rank bound is implied by the t=1 suffix inequality, but checking it
-    # separately guards the two code paths against each other.
-    if 2 * sum(parts) > m * n:
-        return False
-    sa = 0  # sum(parts[t..m-1]), 1-based
-    sb = 0  # sum(n - parts[i] for i in t+1..m), 1-based
-    for t in range(m - 1, 0, -1):
-        sa += parts[t - 1]
-        sb += n - parts[t]
-        if sa > sb:
-            return False
-    return True
 
 
 class StartVector(Frozen):
@@ -64,7 +48,9 @@ class StartVector(Frozen):
 
     def __post_init__(self) -> None:
         parts, n = self.alpha.parts, self.alpha.shape.n
-        if not is_start_parts(parts, n):
+        # The rank bound is implied by the t=1 suffix inequality, which the
+        # block scan decides; comparing it apart cross-checks the scan.
+        if parts[-1] != 0 or 2 * sum(parts) > len(parts) * n:
             raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
         _set(self, "end", alpha_end_parts(parts, n))
 
@@ -98,9 +84,15 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     each step adds parts[i] to lhs and f = n - parts[i+1] to rhs.  While
     lhs > rhs the block stays open and row i+1 (0-based) is interior, so it
     gets f; otherwise the block closes there, row i+1 gets the remainder
-    lhs - (rhs - f), and both sums reset, so the cost is O(m).  The
-    membership inequalities guarantee the last block closes at row m; if it
-    does not, `parts` is no start vector and NotStartVectorError is raised.
+    lhs - (rhs - f), and both sums reset, so the cost is O(m).
+
+    The last block closes at row m exactly when every suffix inequality
+    holds.  With D_i = sum(parts[k] - (n - parts[k+1]) for k <= i) (0-based,
+    D_-1 = 0), the inequality at t reads D_{m-2} <= D_{t-2}, and the scan's
+    sums are D_i minus D at the last close, which is always the running
+    minimum of D; so the last block closes iff D_{m-2} <= min(0, D_0, ...,
+    D_{m-3}).  If it does not close, `parts` is no start vector and
+    NotStartVectorError is raised.
     """
     end = [0]
     lhs = rhs = 0
@@ -114,7 +106,7 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
             end.append(lhs - rhs + f)
             lhs = rhs = 0
     if lhs > rhs:
-        raise NotStartVectorError(f"splitting recursion ran off the grid for {parts}")
+        raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
     return tuple(end)
 
 

@@ -220,7 +220,8 @@ def element_at(alpha: StartVector, j: int) -> Composition:
         take = d if d < left else left
         out[i] += take
         left -= take
-    return Composition(alpha.shape, tuple(out))
+    # each row gains at most its capacity, so parts stay in [alpha_i, n]
+    return Composition._derived(alpha.shape, tuple(out))
 
 
 def chain_contains(alpha: StartVector, c: Composition) -> bool:

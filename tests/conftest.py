@@ -45,6 +45,19 @@ def shift_one_forbidden_cell(original, upward=True):
     return shifted
 
 
+def record_checks(monkeypatch, *classes):
+    """Record, per class, the parts of every value whose construction check runs."""
+    found = {cls: [] for cls in classes}
+    for cls in classes:
+
+        def recording(self, check=cls.__post_init__, seen=found[cls]):
+            seen.append(self.parts)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", recording)
+    return found
+
+
 def all_parts(m, n):
     """Every composition of the m-by-n grid, lexicographically."""
     return product(range(n + 1), repeat=m)

@@ -53,6 +53,12 @@ class TestChainCommand:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_rejects_start_failing_only_a_middle_suffix_inequality(self, capsys):
+        code, out, err = run(capsys, "chain", "--alpha", "0,1,2,0", "-n", "2")
+        assert code == 1
+        assert out == ""
+        assert err == "error: (0, 1, 2, 0) is not a start vector for n=2\n"
+
 
 class TestStartsCommand:
     def test_text_stream(self, capsys):
@@ -183,6 +189,17 @@ class TestLocateCommand:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, flag", [("locate", "--c"), ("chain", "--alpha")])
+@pytest.mark.parametrize("vector", ["1,-1,0", "-1,0", "1,3,0", "0,0,3"])
+def test_part_outside_range_exits_1(capsys, command, flag, vector):
+    # the derived constructor never sees outside input: a negative part or a
+    # part above n is refused before any start is located or certified
+    code, out, err = run(capsys, command, f"{flag}={vector}", "-n", "2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
 
 
 class TestPsiCommand:

@@ -23,7 +23,7 @@ from scdposet import (
 )
 from scdposet.decompose import middle_level_size
 
-from conftest import all_parts, brute_level_sizes, dbtk_chains, shift_one_forbidden_cell
+from conftest import all_parts, brute_level_sizes, dbtk_chains, record_checks, shift_one_forbidden_cell
 
 
 class TestDecompose:
@@ -52,20 +52,14 @@ class TestDecompose:
         assert len(chains) == 3
         assert sum(len(ch) for ch in chains) == 9
 
-    def test_validates_each_start_once(self, monkeypatch):
-        # chain elements are plain parts tuples: the only Composition built
-        # per chain is the one its StartVector certifies
-        validated = []
-        original = Composition.__post_init__
-
-        def counting(self):
-            validated.append(self.parts)
-            original(self)
-
-        monkeypatch.setattr(Composition, "__post_init__", counting)
+    def test_certifies_each_start_once(self, monkeypatch):
+        # chain elements are plain parts tuples, and the odometer's starts
+        # are derived values: per chain, the only check is its StartVector
+        # certification, and no Composition is validated
+        checked = record_checks(monkeypatch, Composition, StartVector)
         chains = list(decompose(GridShape(4, 4)))
         assert len(chains) == 85
-        assert validated == [ch.alpha.parts for ch in chains]
+        assert checked == {Composition: [], StartVector: [ch.alpha.parts for ch in chains]}
 
 
 class TestLevelSizes:

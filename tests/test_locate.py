@@ -21,9 +21,17 @@ from scdposet import (
     psi,
     rank,
 )
-from scdposet.starts import NotStartVectorError, is_start_parts, iter_start_parts
+from scdposet.starts import NotStartVectorError, iter_start_parts
 
-from conftest import SMALL_SHAPES, all_parts, literal_end_vector, literal_splitting_rows, shift_one_forbidden_cell
+from conftest import (
+    SMALL_SHAPES,
+    all_parts,
+    brute_is_start,
+    literal_end_vector,
+    literal_splitting_rows,
+    record_checks,
+    shift_one_forbidden_cell,
+)
 
 # the module, not the `locate` function the package exports under its name
 locate_module = importlib.import_module("scdposet.locate")
@@ -57,8 +65,8 @@ class TestLocate:
     def test_result_is_always_a_start(self, small_shape):
         n = small_shape.n
         for parts in all_parts(small_shape.m, n):
-            sv = locate(Composition(small_shape, parts))  # validates on construction
-            assert is_start_parts(sv.parts, n)
+            sv = locate(Composition(small_shape, parts))  # certified on construction
+            assert brute_is_start(sv.parts, n)
 
     def test_round_trip_membership(self, small_shape):
         for parts in all_parts(small_shape.m, small_shape.n):
@@ -82,6 +90,29 @@ class TestLocate:
             if sum(parts) == mid
         }
         assert located == set(iter_start_parts(small_shape))
+
+
+class TestValidations:
+    def test_round_trip_validates_no_composition_and_psi_one(self, monkeypatch):
+        # the located start and the chain element are derived from a
+        # validated composition, so only the start is certified; a psi image
+        # is validated, since that certifies the end-vector formula
+        c = Composition.of((5, 2, 3, 6, 4, 1, 5, 3), 7)
+        checked = record_checks(monkeypatch, Composition, StartVector)
+        sv = locate(c)
+        assert element_at(sv, rank(c) - rank(sv.alpha)) == c
+        assert checked == {Composition: [], StartVector: [sv.parts]}
+        image = psi(sv)
+        assert checked == {Composition: [image.parts], StartVector: [sv.parts, image.parts]}
+
+    def test_derived_values_pass_the_checks_they_skip(self, small_shape):
+        # the located start and the top of its chain, the largest parts
+        # element_at returns, rebuilt through the checking constructor
+        top = small_shape.top_rank
+        for parts in all_parts(small_shape.m, small_shape.n):
+            sv = locate(Composition(small_shape, parts))
+            for value in (sv.alpha, element_at(sv, top - 2 * rank(sv.alpha))):
+                assert Composition(small_shape, value.parts) == value
 
 
 class TestCertificate:
@@ -243,10 +274,10 @@ class TestLargeGrids:
     @settings(max_examples=50, deadline=None)
     @given(large_compositions)
     def test_locate_element_at_and_psi(self, c):
-        # is_start_parts(locate_parts(c)), the end vector against the literal
-        # block sums, element_at(locate(c), rank(c) - rank(locate(c))) == c,
-        # and psi(psi(a)) == a, checked on one drawn composition
-        assert is_start_parts(locate_parts(c.parts, c.shape.n), c.shape.n)
+        # locate_parts(c) against the defining inequalities, the end vector
+        # against the literal block sums, element_at(locate(c), rank(c) -
+        # rank(locate(c))) == c, and psi(psi(a)) == a, on one drawn composition
+        assert brute_is_start(locate_parts(c.parts, c.shape.n), c.shape.n)
         sv = locate(c)
         assert sv.end == literal_end_vector(sv.parts, c.shape.n)
         assert element_at(sv, rank(c) - rank(sv.alpha)) == c

@@ -1,3 +1,4 @@
+import random
 import sys
 from collections import Counter
 from itertools import islice
@@ -19,29 +20,66 @@ from scdposet import (
     render_ascii,
     verify,
 )
-from scdposet.starts import alpha_end_parts, is_start_parts, iter_start_parts
+from scdposet.starts import alpha_end_parts, iter_start_parts
 
 from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_splitting_rows
 
 
+def accepts(parts, n):
+    """True iff `StartVector` certifies `parts`; a refusal carries the one message."""
+    try:
+        StartVector.of(parts, n)
+    except NotStartVectorError as exc:
+        assert str(exc) == f"{tuple(parts)} is not a start vector for n={n}"
+        return False
+    return True
+
+
+def low_rank_draws(count=1000, seed=17):
+    """Seeded (parts, n) up to m = 60 with the last part 0 and every other
+    part at most a drawn cap, so that most draws are starts and the rest
+    mostly fail a suffix inequality, not the rank bound."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m, n = rng.randint(2, 60), rng.randint(1, 12)
+        cap = rng.randint(0, n)
+        yield tuple(rng.randint(0, cap) for _ in range(m - 1)) + (0,), n
+
+
 class TestIsStart:
     def test_worked_example(self):
-        assert is_start_parts((2, 0, 5, 0), 6)
+        assert brute_is_start((2, 0, 5, 0), 6)
+        assert accepts((2, 0, 5, 0), 6)
 
     def test_zero_vector(self):
-        assert is_start_parts((0, 0, 0, 0, 0), 3)
+        assert brute_is_start((0, 0, 0, 0, 0), 3)
+        assert accepts((0, 0, 0, 0, 0), 3)
 
     def test_suffix_inequality_failure(self):
         # t=1 demands 2+2 <= (2-2)+(2-0); the chain through (2,2,0) starts lower.
-        assert not is_start_parts((2, 2, 0), 2)
+        assert not brute_is_start((2, 2, 0), 2)
+        assert not accepts((2, 2, 0), 2)
         starts = [ch.elements[0] for ch in decompose(GridShape(3, 2))]
         assert (2, 2, 0) not in starts
 
+    def test_only_a_middle_suffix_inequality_fails(self):
+        # last part 0, rank 3 <= 4, t=1: 3 <= 3 and t=3: 2 <= 2 hold; only
+        # t=2: 1+2 <= (2-2)+(2-0) fails, so the block scan alone refuses it
+        parts, n = (0, 1, 2, 0), 2
+        assert [
+            sum(parts[t - 1 : 3]) <= sum(n - parts[i] for i in range(t, 4)) for t in (1, 2, 3)
+        ] == [True, False, True]
+        assert not brute_is_start(parts, n)
+        with pytest.raises(NotStartVectorError) as raised:
+            StartVector.of(parts, n)
+        assert str(raised.value) == "(0, 1, 2, 0) is not a start vector for n=2"
+
     def test_nonzero_last_part(self):
-        assert not is_start_parts((0, 0, 1), 4)
+        assert not brute_is_start((0, 0, 1), 4)
+        assert not accepts((0, 0, 1), 4)
 
     def test_rank_bound_implied_by_suffix_inequalities(self, small_shape):
-        # the explicit rank check in is_start_parts is redundancy by design: the
+        # the explicit rank check in StartVector is redundancy by design: the
         # t=1 suffix inequality already forces rank <= floor(m*n/2)
         m, n = small_shape.m, small_shape.n
         for parts in all_parts(m, n):
@@ -54,10 +92,20 @@ class TestIsStart:
             if ok:
                 assert 2 * sum(parts) <= m * n, parts
 
-    def test_matches_brute_force(self, small_shape):
-        n = small_shape.n
-        for parts in all_parts(small_shape.m, n):
-            assert is_start_parts(parts, n) == brute_is_start(parts, n), parts
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(5, 3), (6, 2)])
+    def test_start_vector_accepts_exactly_the_brute_force_set(self, m, n):
+        # certification is the last-part and rank comparisons plus the block
+        # scan closing its last block, nothing else
+        for parts in all_parts(m, n):
+            assert accepts(parts, n) == brute_is_start(parts, n), parts
+
+    def test_start_vector_accepts_exactly_the_brute_force_set_on_long_draws(self):
+        refused = 0
+        for parts, n in low_rank_draws():
+            expected = brute_is_start(parts, n)
+            assert accepts(parts, n) == expected, (parts, n)
+            refused += not expected and 2 * sum(parts) <= len(parts) * n
+        assert refused >= 50  # refusals left to the suffix inequalities alone
 
     def test_start_vector_construction_guard(self):
         with pytest.raises(NotStartVectorError):
