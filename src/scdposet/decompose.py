@@ -330,11 +330,13 @@ def _check_symmetric(v: _StartValue) -> dict | None:
     located = locate_parts(end, n)
     if located != parts:
         return {"alpha": list(parts), "end": list(end), "located": list(located)}
+    up = list(end)  # each upper cover in turn, one part raised in place
     for i, p in enumerate(end):
         if p < n:
-            up = end[:i] + (p + 1,) + end[i + 1 :]
+            up[i] = p + 1
             if locate_parts(up, n) == parts:
-                return {"alpha": list(parts), "end": list(end), "extends_to": list(up)}
+                return {"alpha": list(parts), "end": list(end), "extends_to": up}
+            up[i] = p
     lo, hi = sum(parts), sum(end)
     if lo + hi != v.sv.shape.top_rank:
         return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
@@ -359,7 +361,7 @@ def _check_disjoint(v: _StartValue) -> dict | None:
     return None
 
 
-def _check_involution(v: _StartValue) -> dict | None:
+def _check_involution(v: _StartValue, partners: set[tuple[int, ...]] | None = None) -> dict | None:
     """psi is an involution, turns the greedy tableau half round, and maps the
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
@@ -367,12 +369,20 @@ def _check_involution(v: _StartValue) -> dict | None:
     greedy end vectors of alpha and psi(alpha).  An image outside the
     starting set is a counterexample, not an error.
 
-    Both the second half-turn identity and the reversed-star comparison are
-    symmetric in alpha and psi(alpha), so full mode runs them once per pair,
-    at its lexicographically smaller start: the pass reaches that start
-    first, and a mismatch at the larger one is a mismatch at the smaller.
-    Sampled mode may not hold the partner, so it compares at every start."""
+    Every identity checked here is symmetric in alpha and psi(alpha) once
+    psi(psi(alpha)) = alpha, so full mode checks each pair once, at its
+    lexicographically smaller start, which the pass reaches first.  That
+    start applies psi to its image too, compares both greedy end vectors
+    and both chains, and on passing adds the image's parts to `partners`;
+    the pass then skips the image's own check, which would recompute the
+    same two psi images.  Every start not in `partners` runs the whole
+    check; with a true involution that is each smaller or self-paired
+    start.  Sampled mode may not hold the partner: it passes no `partners`
+    and checks every start."""
     parts, n = v.sv.parts, v.sv.shape.n
+    if partners is not None and parts in partners:
+        partners.remove(parts)
+        return None
     try:
         image = psi(v.sv)
     except NotStartVectorError:
@@ -384,12 +394,9 @@ def _check_involution(v: _StartValue) -> dict | None:
     iparts = image.parts
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
-    elements = v.elements
-    compare = elements is None or parts <= iparts
-    if iparts[::-1] != v.greedy or (compare and greedy_counts(iparts, n)[::-1] != parts):
+    if iparts[::-1] != v.greedy or greedy_counts(iparts, n)[::-1] != parts:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
-    if not compare:
-        return None
+    elements = v.elements
     image_elements = elements if elements is None or iparts == parts else chain_elements(image).elements
     image_at, image_positions = _probe(image, image_elements)
     if image_positions != v.positions:
@@ -398,6 +405,8 @@ def _check_involution(v: _StartValue) -> dict | None:
     for j in v.positions:
         if image_at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
             return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
+    if partners is not None and iparts != parts:
+        partners.add(iparts)
     return None
 
 
@@ -465,7 +474,7 @@ def verify(
     clock = time.perf_counter
     poset_size = shape.size
     full = poset_size <= cap
-    checks = _CHAIN_CHECKS
+    checks = dict(_CHAIN_CHECKS)
     skipped: dict[str, str] = {}
     found: dict[str, dict] = {}
     seconds = dict.fromkeys(["partition", *checks, "middle-rank-count"], 0.0)
@@ -482,6 +491,10 @@ def verify(
         finish["partition"] = claims.missing, ""
         seconds["partition"] = clock() - t0
     if full:
+        # larger starts of checked pairs, each held until the pass reaches
+        # it: one entry per pair still open, not a slot per composition
+        partners: set[tuple[int, ...]] = set()
+        checks["involution"] = lambda v: _check_involution(v, partners)
         starts: Iterable = ()  # the pass counts every start of `decompose`
         values = (_StartValue(ch.alpha, ch.elements) for ch in decompose(shape))
     else:
@@ -489,19 +502,21 @@ def verify(
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
         finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), f"; {sample} random round trips"
 
-    running = list(checks)
+    running = list(checks.items())
     count = 0
     t0 = clock()
     for value in values:
         count += 1
-        for name in running:
-            bad = checks[name](value)
+        for name, check in running:
+            bad = check(value)
             t1 = clock()
             seconds[name] += t1 - t0
             t0 = t1
             if bad is not None:
                 found[name] = bad
-        running = [name for name in running if name not in found]
+                # rebinding leaves this loop on the old list, so the value's
+                # remaining checks still run
+                running = [item for item in running if item[0] != name]
 
     note = "" if full else f"sampled {count} chains"
     messages = {name: note if name in _CHAIN_CHECKS else "" for name in seconds}

@@ -20,25 +20,27 @@ class CertificateError(RuntimeError):
 def locate_parts(c: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Start vector of the chain containing `c`, as a raw parts tuple.
 
-    Backward scan keeping the block sums lhs = sum(c[r..t-1]) and
-    rhs = sum(n - c[i] for i in r+1..t) for the current block top t (1-based).
-    While lhs <= rhs the scanned row keeps its value; the first row breaking
-    the inequality gets the remainder rhs - sum(c[r+1..t-1]) and opens a new
-    block.  Total work is O(m) regardless of block structure.
+    Backward scan over the current block top t (1-based), keeping the
+    running difference d = lhs - rhs of the block sums lhs = sum(c[r..t-1])
+    and rhs = sum(n - c[i] for i in r+1..t): scanning row r adds
+    c[r] + c[r+1] - n to d.  While d <= 0 the scanned row keeps its value;
+    the first row making d > 0 gets the remainder c[r] - d, opens a new
+    block and resets d to 0.  Total work is O(m) regardless of block
+    structure.
     """
-    m = len(c)
+    r = len(c) - 1
     alpha = list(c)
-    alpha[m - 1] = 0
-    lhs = 0
-    rhs = 0
-    for r in range(m - 1, 0, -1):
-        cr = c[r - 1]
-        lhs += cr
-        rhs += n - c[r]
-        if lhs > rhs:
-            alpha[r - 1] = rhs - lhs + cr
-            lhs = 0
-            rhs = 0
+    alpha[r] = 0
+    d = 0
+    rows = reversed(c)
+    above = next(rows)
+    for cr in rows:
+        r -= 1
+        d += cr + above - n
+        above = cr
+        if d > 0:
+            alpha[r] = cr - d
+            d = 0
     return tuple(alpha)
 
 

@@ -80,32 +80,37 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     remains of the block total sum(parts[q..q'-1]).  Row 1 never holds
     forbidden cells.
 
-    One forward scan keeps the two block sums, without building the rows:
-    each step adds parts[i] to lhs and f = n - parts[i+1] to rhs.  While
-    lhs > rhs the block stays open and row i+1 (0-based) is interior, so it
-    gets f; otherwise the block closes there, row i+1 gets the remainder
-    lhs - (rhs - f), and both sums reset, so the cost is O(m).
+    One forward scan keeps the running difference d = lhs - rhs of the two
+    block sums, without building the rows: each step adds parts[i] - f to
+    d, where f = n - parts[i+1].  While d > 0 the block stays open and row
+    i+1 (0-based) is interior, so it gets f; otherwise the block closes
+    there, row i+1 gets the remainder d + f, and d resets to 0, so the cost
+    is O(m).
 
     The last block closes at row m exactly when every suffix inequality
     holds.  With D_i = sum(parts[k] - (n - parts[k+1]) for k <= i) (0-based,
-    D_-1 = 0), the inequality at t reads D_{m-2} <= D_{t-2}, and the scan's
-    sums are D_i minus D at the last close, which is always the running
-    minimum of D; so the last block closes iff D_{m-2} <= min(0, D_0, ...,
-    D_{m-3}).  If it does not close, `parts` is no start vector and
-    NotStartVectorError is raised.
+    D_-1 = 0), the inequality at t reads D_{m-2} <= D_{t-2}.  After step i
+    the scan's d is D_i minus D at the last close, and a close happens
+    exactly when D falls to or below every earlier D and 0, so D at the
+    last close is the running minimum min(0, D_0, ..., D_i).  The scan ends
+    with d <= 0 iff D_{m-2} <= min(0, D_0, ..., D_{m-3}), which is every
+    suffix inequality at once.  If it ends with d > 0, `parts` is no start
+    vector and NotStartVectorError is raised.
     """
     end = [0]
-    lhs = rhs = 0
-    for i in range(len(parts) - 1):
-        lhs += parts[i]
-        f = n - parts[i + 1]
-        rhs += f
-        if lhs > rhs:
+    d = 0
+    rows = iter(parts)
+    a = next(rows, 0)
+    for b in rows:
+        f = n - b
+        d += a - f
+        a = b
+        if d > 0:
             end.append(f)
         else:
-            end.append(lhs - rhs + f)
-            lhs = rhs = 0
-    if lhs > rhs:
+            end.append(d + f)
+            d = 0
+    if d > 0:
         raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
     return tuple(end)
 

@@ -107,27 +107,34 @@ def greedy_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
 
     Each source row takes its cells from the free runs of the rows below
     it, top down; rows it empties stay empty for every later source, so one
-    pointer walks the rows and the cost is O(m).  Raises
-    TableauConstructionError exactly where `build_grid_cells` does.
+    pointer walks the rows, keeping the free cells `left` on its row, and
+    the cost is O(m).  Raises TableauConstructionError exactly where
+    `build_grid_cells` does.
     """
     m = len(parts)
-    free = [n - a for a in parts]
     forbidden = [0] * m
-    row = 1  # the rows between the current source and `row` have no free cell
+    # `left` free cells remain on `row`; the rows between the current source
+    # and `row` have none
+    row = left = 0
     for src in range(m - 1):
         need = parts[src]
-        row = max(row, src + 1)
+        if row <= src:
+            row = src + 1
+            left = n - parts[row]
         while need:
             if row == m:
                 raise TableauConstructionError(
                     f"row {src + 1} of {parts} needs {need} more forbidden cells than the grid holds"
                 )
-            take = min(need, free[row])
-            free[row] -= take
-            forbidden[row] += take
-            need -= take
-            if not free[row]:
-                row += 1
+            if need < left:
+                forbidden[row] += need
+                left -= need
+                break
+            forbidden[row] += left
+            need -= left
+            row += 1
+            if row < m:
+                left = n - parts[row]
     return tuple(forbidden)
 
 

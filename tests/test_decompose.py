@@ -207,14 +207,21 @@ class TestVerify:
         # and its greedy row counts, plus the psi image's chain once per pair
         # of distinct starts; no cell grid is coloured, and chain elements
         # stay plain tuples, so the only Compositions are those of the
-        # start, psi(start) and psi(psi(start))
+        # start, psi(start) and psi(psi(start)).  psi runs twice at each of
+        # the 55 smaller-or-self starts of N(4, 4)'s 30 pairs and 25 fixed
+        # points, and not at all at the 30 larger starts
         module = importlib.import_module("scdposet.decompose")
         built = Counter()
         fn = module.chain_elements
+        psi = module.psi
 
         def counting(sv):
             built["chain_elements"] += 1
             return fn(sv)
+
+        def counting_psi(sv):
+            built["psi"] += 1
+            return psi(sv)
 
         def refuse(parts, n):
             raise AssertionError(f"grid built for {parts}")
@@ -227,6 +234,7 @@ class TestVerify:
             original(self)
 
         monkeypatch.setattr(module, "chain_elements", counting)
+        monkeypatch.setattr(module, "psi", counting_psi)
         monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
         monkeypatch.setattr(Composition, "__post_init__", validating)
         report = verify(GridShape(4, 4))
@@ -234,6 +242,7 @@ class TestVerify:
         starts = report.chain_count
         assert starts == 85
         assert built["chain_elements"] <= starts + (starts + 1) // 2
+        assert built["psi"] == 110
         assert validated["compositions"] <= 3 * starts
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
@@ -320,6 +329,30 @@ class TestVerify:
             "psi": [0, 0, 0],
             "reason": "psi(psi(alpha)) is not a start vector",
         }
+
+    def test_involution_catches_psi_wrong_only_at_larger_starts(self, monkeypatch):
+        # full mode skips the check at the larger start of each pair, but the
+        # smaller start has already applied psi to that start's value: a psi
+        # that is wrong only there still fails, at the first pair's smaller
+        # start
+        module = importlib.import_module("scdposet.decompose")
+        psi = module.psi
+        shape = GridShape(4, 4)
+
+        def psi_wrong_above(sv):
+            image = psi(sv)
+            return sv if image.parts < sv.parts else image
+
+        first = next(
+            parts
+            for parts in scdposet.starts.iter_start_parts(shape)
+            if psi(StartVector.of(parts, shape.n)).parts > parts
+        )
+        monkeypatch.setattr(module, "psi", psi_wrong_above)
+        involution = verify(shape).check("involution")
+        assert not involution.passed
+        image = list(psi(StartVector.of(first, shape.n)).parts)
+        assert involution.counterexample == {"alpha": list(first), "psi": image, "psi_psi": image}
 
     def test_involution_reports_psi_psi_that_is_not_alpha(self, monkeypatch):
         # with one forbidden cell moved from row 4 to row 3, psi sends

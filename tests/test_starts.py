@@ -141,7 +141,9 @@ class TestAlphaEnd:
 
     def test_computed_once_per_start_vector(self, monkeypatch):
         # StartVector construction is the one production site of the end
-        # vector; chains, psi, certificates, verify and render read `.end`
+        # vector; chains, psi, certificates, verify and render read `.end`.
+        # verify builds the 85 starts and two psi images at each of the 55
+        # smaller-or-self starts of the 30 psi pairs and 25 fixed points
         calls = Counter()
         original = scdposet.starts.alpha_end_parts
 
@@ -161,13 +163,13 @@ class TestAlphaEnd:
         monkeypatch.setattr(StartVector, "__post_init__", constructing)
         shape = GridShape(4, 4)
         assert verify(shape).passed
-        assert calls == {"alpha_end_parts": 255, "StartVector": 255}
+        assert calls == {"alpha_end_parts": 195, "StartVector": 195}
         assert len(list(decompose(shape))) == 85
         sv = certificate(Composition.of((1, 3, 2, 2), 4)).alpha
         assert element_at(sv, 1).parts == (1, 2, 2, 1)
         assert psi(sv).parts == (2, 2, 1, 0)
         assert render_ascii(build_tableau(sv)).startswith("alpha=1,2,2,0 alphaE=0,1,2,2")
-        assert calls["StartVector"] == 255 + 85 + 2
+        assert calls["StartVector"] == 195 + 85 + 2
         assert calls["alpha_end_parts"] == calls["StartVector"]
 
     def test_first_entry_zero_and_total_is_rank(self, small_shape):
