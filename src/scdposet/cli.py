@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 
 from .core import Composition, GridShape, parse_parts
 from .decompose import DEFAULT_CAP, MAX_STATS_WORK, SAMPLE_STARTS, level_sizes, verify
@@ -70,24 +69,35 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Elements joined per write on the chain paths, so a long chain's text is
-# never held whole next to its element strings.
+# A chain line of at most this many elements is written with one `write`; a
+# longer chain is joined and written this many elements at a time, so its
+# text is never held whole next to its element strings.
 _CHUNK = 4096
 
+_HEAD = '{"m":%d,"n":%d,"alpha":[%s],"alpha_end":[%s],"start":[%s],"end":[%s],"elements":[[%s'
 
-def _write_chain(sv: StartVector) -> None:
-    """Write the chain of `sv` as one JSON line, byte-identical to the compact `json` encoding."""
-    els = fill_walk(sv, partial(map, str), ",".join)
+
+class _PartStrings:
+    """`fill_walk` table for `chain`, whose one chain may visit few of the
+    n + 1 part values: makes each part string as the walk reaches it."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        return map(str, range(key.start, key.stop)) if key.__class__ is slice else str(key)
+
+
+def _write_chain(sv: StartVector, table: list[str] | _PartStrings) -> None:
+    """Write the chain of `sv` as one JSON line, byte-identical to the compact
+    `json` encoding, from `table`, the text of each part value."""
+    els = fill_walk(sv, table, ",".join)
+    end = ",".join([table[e] for e in sv.end])
+    line = _HEAD % (sv.shape.m, sv.shape.n, els[0], end, els[0], els[-1], "],[".join(els[:_CHUNK]))
     write = sys.stdout.write
-    write(
-        '{"m":%d,"n":%d,"alpha":[%s],"alpha_end":[%s],"start":[%s],"end":[%s],"elements":[['
-        % (sv.shape.m, sv.shape.n, els[0], ",".join(map(str, sv.end)), els[0], els[-1])
-    )
-    for i in range(0, len(els), _CHUNK):
-        if i:
-            write("],[")
-        write("],[".join(els[i : i + _CHUNK]))
-    write("]]}\n")
+    for i in range(_CHUNK, len(els), _CHUNK):
+        write(line)
+        line = "],[" + "],[".join(els[i : i + _CHUNK])
+    write(line + "]]}\n")
 
 
 # json.dumps would build this encoder on every call.
@@ -101,7 +111,7 @@ def _emit(obj) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chain":
-        _write_chain(StartVector.of(parse_parts(args.alpha), args.n))
+        _write_chain(StartVector.of(parse_parts(args.alpha), args.n), _PartStrings())
         return 0
 
     if args.command == "starts":
@@ -114,8 +124,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         shape = GridShape(args.m, args.n)
+        table = [str(p) for p in range(shape.n + 1)]
         for parts in iter_start_parts(shape):
-            _write_chain(StartVector(Composition._derived(shape, parts)))
+            _write_chain(StartVector(Composition._derived(shape, parts)), table)
         return 0
 
     if args.command == "locate":

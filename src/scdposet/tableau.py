@@ -16,18 +16,20 @@ end point.  Those chains, over all start vectors, partition the poset.
 Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
 (`StartVector.end`, the closed form for the forbidden counts, computed once
 when the start is certified), so chains are built from e alone and never
-color a grid.  One walk over e (`fill_walk`) builds every chain, as parts
-tuples for `chain_elements` and as JSON array text for the CLI.  Every row
-is a fixed prefix, one free run and a forbidden suffix, so the greedy rule
-of pass 2 also runs on per-row counts alone (`greedy_counts`); verify's
-cross-checks against the closed form read those counts.  The greedy grid
-here is deliberately literal; it serves rendering and is the tests'
-reference for `greedy_counts`.
+color a grid.  One walk over e (`fill_walk`) builds every chain from a
+table indexed by part value, so each row's run of fills is one slice of
+it: the values 0..n give parts tuples for `chain_elements`, and the n + 1
+part strings, made once per shape, give the CLI's `decompose` its JSON
+array text.  Every row is a fixed prefix, one free run and a forbidden
+suffix, so the greedy rule of pass 2 also runs on per-row counts alone
+(`greedy_counts`); verify's cross-checks against the closed form read
+those counts.  The greedy grid here is deliberately literal; it serves
+rendering and is the tests' reference for `greedy_counts`.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import Composition, Frozen, GridShape, _set, rank
 from .starts import StartVector
@@ -180,28 +182,36 @@ class Chain(Frozen):
         return len(self.elements)
 
 
-def fill_walk(alpha: StartVector, cells: Callable, make: Callable) -> list:
+def fill_walk(alpha: StartVector, table: Sequence, make: Callable) -> list:
     """`make(cur)` for each element of the chain of `alpha`, in increasing rank.
 
-    `cur` starts as `cells(alpha.parts)`; in fill order, bottom row first,
-    row i then takes `cells(range(alpha[i] + 1, n - e[i] + 1))`, so a part is
-    converted once, where its row changes.
+    `table[p]` is the cell of part value p, for p in 0..n, and a slice of
+    `table` gives the cells of consecutive values: the values 0..n walk
+    parts, a list of the n + 1 part strings walks JSON text.  `cur` starts
+    as `table[p]` for each part p of alpha; in fill order, bottom row first,
+    row i then takes the slice `table[alpha[i] + 1 : n - e[i] + 1]`, so a
+    row run is one slice and no cell is made per element.
     """
     parts = alpha.parts
     n = alpha.shape.n
     end = alpha.end
-    cur = list(cells(parts))
+    cur = [*map(table.__getitem__, parts)]
     out = [make(cur)]
     for i in range(len(parts) - 1, -1, -1):
-        if parts[i] + end[i] < n:  # most rows of a short chain are full; build no empty iterator
-            for cur[i] in cells(range(parts[i] + 1, n - end[i] + 1)):
+        if parts[i] + end[i] < n:  # most rows of a short chain are full; take no empty slice
+            for cur[i] in table[parts[i] + 1 : n - end[i] + 1]:
                 out.append(make(cur))
     return out
 
 
-def chain_elements(alpha: StartVector) -> Chain:
-    """Materialize the chain of `alpha` as parts tuples, from `fill_walk`."""
-    return Chain(alpha, tuple(fill_walk(alpha, iter, tuple)))
+def chain_elements(alpha: StartVector, values: Sequence[int] | None = None) -> Chain:
+    """Materialize the chain of `alpha` as parts tuples, from `fill_walk`.
+
+    `values` is the walk's table, `list(range(n + 1))` from a caller that
+    walks many chains of one shape, since a list slices faster than a range;
+    a lone chain walks `range(n + 1)`."""
+    table = range(alpha.shape.n + 1) if values is None else values
+    return Chain(alpha, tuple(fill_walk(alpha, table, tuple)))
 
 
 def element_at(alpha: StartVector, j: int) -> Composition:

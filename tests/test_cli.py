@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,20 @@ class TestChainCommand:
         assert err == "error: (0, 1, 2, 0) is not a start vector for n=2\n"
 
 
+    def test_chain_holds_no_table_of_part_values(self, capsys):
+        # a 21-element chain of N(2, 200000); a table of all 200,001 part
+        # strings would take about 12 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["chain", "--alpha", "199990,0", "-n", "200000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["elements"]) == 21
+        assert peak < 1 << 20, peak
+
+
 class TestStartsCommand:
     def test_text_stream(self, capsys):
         code, out, _ = run(capsys, "starts", "-m", "3", "-n", "2")
@@ -111,15 +126,37 @@ def json_line(ch):
 
 
 class TestChainLineBytes:
-    """`chain`, `decompose` and `starts` format their lines by hand, chains in
-    slices of `cli._CHUNK` elements; the bytes must be those of `json.dumps`
-    and `format_parts`."""
+    """`chain`, `decompose` and `starts` format their lines by hand, a chain
+    of at most `cli._CHUNK` elements in one write and a longer one in slices
+    of `cli._CHUNK`; the bytes must be those of `json.dumps` and
+    `format_parts`."""
 
-    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(1, 5)])
+    # the last four have parts at n = 9, 10, 99 and 100, next to and across a digit width
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(1, 5), (4, 9), (4, 10), (2, 99), (2, 100)])
     def test_decompose_matches_json_dumps(self, capsys, m, n):
         code, out, _ = run(capsys, "decompose", "-m", str(m), "-n", str(n))
         assert code == 0
         assert out == "".join(map(json_line, decompose(GridShape(m, n))))
+
+    @pytest.mark.parametrize(
+        "argv, writes",
+        [
+            (["decompose", "-m", "4", "-n", "3"], "one per line"),
+            (["chain", "--alpha", "0,0,0", "-n", "1365"], 1),
+            (["chain", "--alpha", "0,0", "-n", "2048"], 2),
+            (["chain", "--alpha", "0,0", "-n", "3000"], 2),
+        ],
+        ids=["decompose", "one-full-slice", "one-past-a-slice", "two-slices-and-a-part"],
+    )
+    def test_one_write_per_slice_and_a_short_line_in_one(self, monkeypatch, argv, writes):
+        chunks = []
+        monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(chunks.append)})())
+        assert cli.main(argv) == 0
+        lines = "".join(chunks).splitlines(keepends=True)
+        if writes == "one per line":
+            assert chunks == lines and len(lines) == 44
+        else:
+            assert len(lines) == 1 and len(chunks) == writes
 
     @pytest.mark.parametrize(
         "alpha, n, length",

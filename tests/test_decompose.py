@@ -215,9 +215,12 @@ class TestVerify:
         fn = module.chain_elements
         psi = module.psi
 
-        def counting(sv):
+        tables = set()
+
+        def counting(sv, values=None):
             built["chain_elements"] += 1
-            return fn(sv)
+            tables.add(id(values))
+            return fn(sv, values)
 
         def counting_psi(sv):
             built["psi"] += 1
@@ -244,6 +247,9 @@ class TestVerify:
         assert built["chain_elements"] <= starts + (starts + 1) // 2
         assert built["psi"] == 110
         assert validated["compositions"] <= 3 * starts
+        # every walk reads a table of part values built once: the pass's
+        # chains one, the psi images' chains another
+        assert len(tables) == 2 and id(None) not in tables
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
         # the chain still ends at the complementary rank, but not where
@@ -372,8 +378,8 @@ class TestVerify:
             for parts in module.iter_start_parts(shape):
                 yield chain_elements(StartVector(Composition(shape, parts)))
 
-        def short_chain(sv):
-            return Chain(sv, chain_elements(sv).elements[:-1])
+        def short_chain(sv, values=None):
+            return Chain(sv, chain_elements(sv, values).elements[:-1])
 
         monkeypatch.setattr(module, "decompose", honest_decompose)
         monkeypatch.setattr(module, "chain_elements", short_chain)
@@ -520,8 +526,8 @@ class TestVerifyPass:
             edits = {first.alpha: first.elements[:-1]}
         original = module.chain_elements
 
-        def tampered(sv):
-            ch = original(sv)
+        def tampered(sv, values=None):
+            ch = original(sv, values)
             return Chain(ch.alpha, edits.get(sv, ch.elements))
 
         monkeypatch.setattr(module, "chain_elements", tampered)
@@ -544,9 +550,9 @@ class TestVerifyPass:
                 log.append(("start", parts))
                 yield parts
 
-        def logged_chain(sv):
+        def logged_chain(sv, values=None):
             log.append(("chain", sv.parts))
-            return chain_elements(sv)
+            return chain_elements(sv, values)
 
         monkeypatch.setattr(module, "iter_start_parts", logged_starts)
         monkeypatch.setattr(module, "chain_elements", logged_chain)
@@ -566,9 +572,9 @@ class TestVerifyPass:
         chain_elements, greedy_counts = module.chain_elements, module.greedy_counts
         built = Counter()
 
-        def reversed_chain(sv):
+        def reversed_chain(sv, values=None):
             built[sv.parts] += 1
-            ch = chain_elements(sv)
+            ch = chain_elements(sv, values)
             return Chain(ch.alpha, ch.elements[::-1])
 
         monkeypatch.setattr(module, "chain_elements", reversed_chain)

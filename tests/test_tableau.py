@@ -1,6 +1,5 @@
 import json
 import random
-from functools import partial
 from itertools import product
 
 import pytest
@@ -200,14 +199,19 @@ def seeded_start(seed, m, n):
 
 
 class TestFillWalk:
-    """`chain_elements` takes the walk's tuples and the CLI its text; the two
-    outputs must agree element by element."""
+    """`chain_elements` walks a table of the part values, `decompose` one of
+    their strings and `chain` strings made on demand; every walk must give
+    the same elements."""
 
     @staticmethod
-    def both(sv):
-        text = fill_walk(sv, partial(map, str), ",".join)
-        tuples = fill_walk(sv, iter, tuple)
-        return text, tuples
+    def walks(sv):
+        n = sv.shape.n
+        tuples = fill_walk(sv, range(n + 1), tuple)
+        assert fill_walk(sv, list(range(n + 1)), tuple) == tuples
+        text = fill_walk(sv, [str(p) for p in range(n + 1)], ",".join)
+        assert fill_walk(sv, cli._PartStrings(), ",".join) == text
+        assert text == [",".join(map(str, el)) for el in tuples]
+        return tuples
 
     @pytest.mark.parametrize(
         "sv",
@@ -215,15 +219,26 @@ class TestFillWalk:
         ids=["chain-0,0-n3000", "seeded-N(3,5000)"],
     )
     def test_text_and_tuples_agree_past_a_slice(self, sv):
-        text, tuples = self.both(sv)
-        assert len(text) == len(tuples) > cli._CHUNK
+        tuples = self.walks(sv)
+        assert len(tuples) > cli._CHUNK
         assert max(max(el) for el in tuples) >= 1000
-        assert text == [",".join(map(str, el)) for el in tuples]
 
     def test_text_and_tuples_agree_on_small_shapes(self, small_shape):
         for parts in iter_start_parts(small_shape):
-            text, tuples = self.both(StartVector.of(parts, small_shape.n))
-            assert text == [",".join(map(str, el)) for el in tuples]
+            self.walks(StartVector.of(parts, small_shape.n))
+
+    @pytest.mark.parametrize("m, n", [(4, 9), (4, 10), (2, 99), (2, 100)])
+    def test_text_and_tuples_agree_where_parts_cross_a_digit_width(self, m, n):
+        widths = set()
+        for parts in iter_start_parts(GridShape(m, n)):
+            for el in self.walks(StartVector.of(parts, n)):
+                widths.update(len(str(p)) for p in el)
+        assert widths == {len(str(p)) for p in range(n + 1)}
+
+    def test_chain_elements_takes_the_callers_table(self):
+        values = list(range(SAMPLE_A.shape.n + 1))
+        assert chain_elements(SAMPLE_A, values) == chain_elements(SAMPLE_A)
+        assert list(chain_elements(SAMPLE_A, values).elements) == SAMPLE_A_CHAIN
 
 
 class TestElementAt:
