@@ -101,9 +101,8 @@ def middle_level_size(shape: GridShape) -> int:
 
 def decompose(shape: GridShape) -> Iterator[Chain]:
     """Stream every chain of the decomposition in lexicographic start order."""
-    values = list(range(shape.n + 1))  # the walk's table, built once per shape
     for parts in iter_start_parts(shape):
-        yield chain_elements(StartVector(Composition._derived(shape, parts)), values)
+        yield chain_elements(StartVector(Composition._derived(shape, parts)))
 
 
 def chain_length_histogram(shape: GridShape) -> dict[int, int]:
@@ -362,9 +361,7 @@ def _check_disjoint(v: _StartValue) -> dict | None:
     return None
 
 
-def _check_involution(
-    v: _StartValue, partners: set[tuple[int, ...]] | None = None, values: Sequence[int] | None = None
-) -> dict | None:
+def _check_involution(v: _StartValue, partners: set[tuple[int, ...]] | None = None) -> dict | None:
     """psi is an involution, turns the greedy tableau half round, and maps the
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
@@ -381,8 +378,7 @@ def _check_involution(
     same two psi images.  Every start not in `partners` runs the whole
     check; with a true involution that is each smaller or self-paired
     start.  Sampled mode may not hold the partner: it passes no `partners`
-    and checks every start.  Full mode walks the image's chain over
-    `values`, its one table of the part values 0..n."""
+    and checks every start."""
     parts, n = v.sv.parts, v.sv.shape.n
     if partners is not None and parts in partners:
         partners.remove(parts)
@@ -401,7 +397,7 @@ def _check_involution(
     if iparts[::-1] != v.greedy or greedy_counts(iparts, n)[::-1] != parts:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
     elements = v.elements
-    image_elements = elements if elements is None or iparts == parts else chain_elements(image, values).elements
+    image_elements = elements if elements is None or iparts == parts else chain_elements(image).elements
     image_at, image_positions = _probe(image, image_elements)
     if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
@@ -498,8 +494,7 @@ def verify(
         # larger starts of checked pairs, each held until the pass reaches
         # it: one entry per pair still open, not a slot per composition
         partners: set[tuple[int, ...]] = set()
-        part_values = list(range(shape.n + 1))  # the table of the image chains' walk
-        checks["involution"] = lambda v: _check_involution(v, partners, part_values)
+        checks["involution"] = lambda v: _check_involution(v, partners)
         starts: Iterable = ()  # the pass counts every start of `decompose`
         values = (_StartValue(ch.alpha, ch.elements) for ch in decompose(shape))
     else:

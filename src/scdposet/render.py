@@ -2,13 +2,15 @@
 
 The ASCII form is a contract: `parse_ascii` reconstructs the cell grid (up
 to forbidden-source annotations, which the text does not carry) from the
-output of `render_ascii`.  SVG output is presentation only.
+output of `render_ascii`, and accepts no other text.  SVG output is
+presentation only.
 """
 
 from __future__ import annotations
 
 from .core import format_parts, parse_parts
-from .tableau import Cells, ChainTableau, Fillable, Fixed, Forbidden
+from .starts import StartVector
+from .tableau import Cells, ChainTableau, Fillable, Fixed, Forbidden, build_tableau, strip_sources
 
 # The CLI refuses to render grids with more cells than this, before any
 # cell is built: one cell object each, and an SVG of 10**5 cells is about
@@ -50,44 +52,31 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     """Parse render_ascii output back into (alpha parts, cell grid).
 
     Forbidden cells come back without their source row; everything else is
-    exact.  Raises ValueError on text `render_ascii` does not write: a header
-    other than `alpha=<parts> alphaE=<parts>` with as many parts in each, a
-    fill number that is not ASCII decimal digits or is below 1, ragged rows,
-    a row count other than the number of parts of alpha, a row i without
-    exactly alpha[i] fixed and alphaE[i] forbidden cells, or K fill numbers
-    that are not 1..K read bottom to top and left to right.
+    exact.  The text is checked by rendering alpha again: it must hold a
+    header `alpha=<parts> alphaE=<parts>` and one row per part of alpha,
+    all of one width n, checked before any cell is built; then the header
+    and the cells, row by row, must be those `render_ascii` writes for the
+    tableau of alpha in N(m, n).  Raises ValueError otherwise, naming the
+    first line that differs.
     """
     lines = [line for line in text.splitlines() if line.strip()]
     header = lines[0].split(" ") if lines else []
     if len(header) != 2 or not header[0].startswith("alpha=") or not header[1].startswith("alphaE="):
         raise ValueError("header line is not alpha=<parts> alphaE=<parts>")
     alpha = parse_parts(header[0].removeprefix("alpha="))
-    alpha_end = parse_parts(header[1].removeprefix("alphaE="))
-    if len(alpha_end) != len(alpha):
-        raise ValueError(f"header has {len(alpha)} parts of alpha but {len(alpha_end)} of alphaE")
-    rows = []
-    for line in lines[1:]:
-        row: list = []
-        for tok in line.split():
-            if tok == FIXED_GLYPH:
-                row.append(Fixed())
-            elif tok == FORBIDDEN_GLYPH:
-                row.append(Forbidden())
-            elif tok.isascii() and tok.isdigit() and int(tok) >= 1:
-                row.append(Fillable(int(tok)))
-            else:
-                raise ValueError(f"cell {tok!r} is not {FIXED_GLYPH}, {FORBIDDEN_GLYPH} or a fill number of at least 1")
-        rows.append(tuple(row))
-    if len(rows) != len(alpha) or len({len(row) for row in rows}) > 1:
+    rows = [line.split() for line in lines[1:]]
+    if len(rows) != len(alpha) or len({len(row) for row in rows}) != 1:
         raise ValueError(f"expected {len(alpha)} rows of equal length, got {[len(row) for row in rows]} cells per row")
-    for i, (row, a, e) in enumerate(zip(rows, alpha, alpha_end), 1):
-        fixed, forbidden = row.count(Fixed()), row.count(Forbidden())
-        if (fixed, forbidden) != (a, e):
-            raise ValueError(f"row {i} holds {fixed} fixed and {forbidden} forbidden cells, the header says {a} and {e}")
-    orders = [cell.order for row in reversed(rows) for cell in row if isinstance(cell, Fillable)]
-    if orders != list(range(1, len(orders) + 1)):
-        raise ValueError(f"fill numbers are not 1..{len(orders)} read bottom to top, left to right")
-    return alpha, tuple(rows)
+    t = build_tableau(StartVector.of(alpha, len(rows[0])))
+    expected = render_ascii(t).splitlines()
+    if lines[0] != expected[0]:
+        raise ValueError(f"header {lines[0]!r} is not {expected[0]!r}, which render_ascii writes for this alpha")
+    for i, (row, line) in enumerate(zip(rows, expected[1:]), 1):
+        want = line.split()
+        if row != want:
+            j = next(j for j, (got, cell) in enumerate(zip(row, want)) if got != cell)
+            raise ValueError(f"row {i}, cell {j + 1} is {row[j]!r}; render_ascii writes {want[j]!r} there")
+    return alpha, strip_sources(t.cells)
 
 
 def tableau_payload(t: ChainTableau) -> dict:

@@ -21,10 +21,11 @@ table indexed by part value, so each row's run of fills is one slice of
 it: the values 0..n give parts tuples for `chain_elements`, and the n + 1
 part strings, made once per shape, give the CLI's `decompose` its JSON
 array text.  Every row is a fixed prefix, one free run and a forbidden
-suffix, so the greedy rule of pass 2 also runs on per-row counts alone
-(`greedy_counts`); verify's cross-checks against the closed form read
-those counts.  The greedy grid here is deliberately literal; it serves
-rendering and is the tests' reference for `greedy_counts`.
+suffix, so the greedy rule of pass 2 runs on per-row counts alone
+(`greedy_counts`, O(m)).  Those counts are its one implementation:
+verify's cross-checks against the closed form read them, and
+`build_tableau` colors the grid for rendering from them, row by row.  The
+cell-by-cell greedy simulation lives in the tests, as their oracle.
 """
 
 from __future__ import annotations
@@ -68,50 +69,14 @@ CellState = Fixed | Forbidden | Fillable
 Cells = tuple[tuple[CellState, ...], ...]
 
 
-def build_grid_cells(parts: tuple[int, ...], n: int) -> Cells:
-    """Run the three coloring passes on a raw parts tuple.
-
-    Raises TableauConstructionError if the forbidden cells for some source
-    row do not fit on the grid, which certifies that `parts` is not a start
-    vector.  Valid start vectors never trip this.
-    """
-    m = len(parts)
-    grid: list[list[CellState | None]] = [[None] * n for _ in range(m)]
-    for i, a in enumerate(parts):
-        for j in range(a):
-            grid[i][j] = Fixed()
-    for src in range(m - 1):
-        need = parts[src]
-        for i in range(src + 1, m):
-            if need == 0:
-                break
-            for j in range(n - 1, -1, -1):
-                if need == 0:
-                    break
-                if grid[i][j] is None:
-                    grid[i][j] = Forbidden(source=src + 1)
-                    need -= 1
-        if need:
-            raise TableauConstructionError(
-                f"row {src + 1} of {parts} needs {need} more forbidden cells than the grid holds"
-            )
-    order = 1
-    for i in range(m - 1, -1, -1):
-        for j in range(n):
-            if grid[i][j] is None:
-                grid[i][j] = Fillable(order)
-                order += 1
-    return tuple(tuple(row) for row in grid)  # type: ignore[arg-type]
-
-
 def greedy_counts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Per-row forbidden-cell counts of pass 2, without the grid.
 
     Each source row takes its cells from the free runs of the rows below
     it, top down; rows it empties stay empty for every later source, so one
     pointer walks the rows, keeping the free cells `left` on its row, and
-    the cost is O(m).  Raises TableauConstructionError exactly where
-    `build_grid_cells` does.
+    the cost is O(m).  Raises TableauConstructionError where the grid holds
+    too few free cells below some source row.
     """
     m = len(parts)
     forbidden = [0] * m
@@ -155,8 +120,35 @@ class ChainTableau(Frozen):
 
 
 def build_tableau(alpha: StartVector) -> ChainTableau:
-    """Color the grid of `alpha` by direct greedy simulation."""
-    return ChainTableau(alpha, build_grid_cells(alpha.parts, alpha.shape.n))
+    """Color the grid of `alpha` from the per-row counts of pass 2.
+
+    Row i is alpha[i] fixed cells, its run of n - alpha[i] - counts[i]
+    fillable cells, then counts[i] forbidden ones.  Read top down and right
+    to left within a row, the forbidden cells go to the source rows in
+    order, each taking alpha[src] of them, so one pointer over the sources
+    reads each cell's source off the counts.
+    """
+    parts, n = alpha.parts, alpha.shape.n
+    counts = greedy_counts(parts, n)
+    # the K = m*n - 2*sum(parts) fill numbers run bottom row first, so the
+    # top row's run ends at K and each row's run ends below the one above
+    stop = alpha.shape.top_rank - 2 * sum(parts) + 1
+    src, need = 0, parts[0]
+    rows = []
+    for a, k in zip(parts, counts):
+        start = stop - (n - a - k)
+        suffix: list[CellState] = []
+        while k:
+            while not need:
+                src += 1
+                need = parts[src]
+            take = min(need, k)
+            suffix += [Forbidden(src + 1)] * take
+            need -= take
+            k -= take
+        rows.append((*[Fixed()] * a, *map(Fillable, range(start, stop)), *reversed(suffix)))
+        stop = start
+    return ChainTableau(alpha, tuple(rows))
 
 
 def alpha_end_from_tableau(t: ChainTableau) -> tuple[int, ...]:
@@ -204,13 +196,16 @@ def fill_walk(alpha: StartVector, table: Sequence, make: Callable) -> list:
     return out
 
 
-def chain_elements(alpha: StartVector, values: Sequence[int] | None = None) -> Chain:
+def chain_elements(alpha: StartVector) -> Chain:
     """Materialize the chain of `alpha` as parts tuples, from `fill_walk`.
 
-    `values` is the walk's table, `list(range(n + 1))` from a caller that
-    walks many chains of one shape, since a list slices faster than a range;
-    a lone chain walks `range(n + 1)`."""
-    table = range(alpha.shape.n + 1) if values is None else values
+    The walk's table is the part values 0..n: a list for a chain longer than
+    n, since a list slices faster than a range, and the range itself for a
+    shorter chain, which would not repay building the list."""
+    parts = alpha.parts
+    n = alpha.shape.n
+    # the chain has m*n - 2*sum(parts) + 1 elements
+    table = list(range(n + 1)) if (len(parts) - 1) * n >= 2 * sum(parts) else range(n + 1)
     return Chain(alpha, tuple(fill_walk(alpha, table, tuple)))
 
 

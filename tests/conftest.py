@@ -3,6 +3,8 @@
 The oracles here recompute everything from definitions with plain nested
 sums and exhaustive scans, on purpose: they share no code with the package
 so that a transcription mistake on either side shows up as a disagreement.
+The literal greedy grid borrows only the package's cell and error types, so
+its output compares with `build_tableau`'s directly.
 """
 
 from itertools import product
@@ -10,6 +12,7 @@ from itertools import product
 import pytest
 
 from scdposet import GridShape
+from scdposet.tableau import Fillable, Fixed, Forbidden, TableauConstructionError
 
 # Exhaustively checkable grids, largest poset 5**4 = 625 elements.
 SMALL_SHAPES = [
@@ -119,6 +122,42 @@ def literal_end_vector(parts, n):
         block_total = sum(parts[i - 1] for i in range(q, q_next))
         end[q_next - 1] = block_total - sum(n - parts[j - 1] for j in interior)
     return tuple(end)
+
+
+def literal_grid(parts, n):
+    """Run the three coloring passes on a raw parts tuple, cell by cell.
+
+    Raises TableauConstructionError if the forbidden cells for some source
+    row do not fit on the grid, which certifies that `parts` is not a start
+    vector.  Valid start vectors never trip this.
+    """
+    m = len(parts)
+    grid = [[None] * n for _ in range(m)]
+    for i, a in enumerate(parts):
+        for j in range(a):
+            grid[i][j] = Fixed()
+    for src in range(m - 1):
+        need = parts[src]
+        for i in range(src + 1, m):
+            if need == 0:
+                break
+            for j in range(n - 1, -1, -1):
+                if need == 0:
+                    break
+                if grid[i][j] is None:
+                    grid[i][j] = Forbidden(source=src + 1)
+                    need -= 1
+        if need:
+            raise TableauConstructionError(
+                f"row {src + 1} of {parts} needs {need} more forbidden cells than the grid holds"
+            )
+    order = 1
+    for i in range(m - 1, -1, -1):
+        for j in range(n):
+            if grid[i][j] is None:
+                grid[i][j] = Fillable(order)
+                order += 1
+    return tuple(tuple(row) for row in grid)
 
 
 def brute_level_sizes(m, n):

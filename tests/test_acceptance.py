@@ -13,8 +13,8 @@ from scdposet import (
     Composition,
     GridShape,
     StartVector,
+    ChainTableau,
     alpha_end_from_tableau,
-    build_tableau,
     chain_contains,
     chain_elements,
     chain_length_histogram,
@@ -31,7 +31,7 @@ from scdposet import (
 from scdposet.starts import alpha_end_parts, iter_start_parts
 from scdposet.tableau import greedy_counts
 
-from conftest import brute_is_start
+from conftest import brute_is_start, literal_grid
 
 # every grid with 1 <= m <= 5 and 1 <= n <= 4, plus three stretched ones
 SHAPES = [(m, n) for m in range(1, 6) for n in range(1, 5)] + [(3, 6), (2, 10), (6, 2)]
@@ -123,12 +123,12 @@ def test_criterion_6_corollary_vs_simulation():
         shape = GridShape(m, n)
         for parts in iter_start_parts(shape):
             sv = StartVector(Composition(shape, parts))
-            simulated = alpha_end_from_tableau(build_tableau(sv))
+            simulated = alpha_end_from_tableau(ChainTableau(sv, literal_grid(parts, n)))
             assert alpha_end_parts(parts, n) == simulated, parts
             assert greedy_counts(parts, n) == simulated, parts
     sv = StartVector.of(THIRTEEN_ROW_ALPHA, 7)
     assert sv.end == THIRTEEN_ROW_END
-    assert alpha_end_from_tableau(build_tableau(sv)) == THIRTEEN_ROW_END
+    assert alpha_end_from_tableau(ChainTableau(sv, literal_grid(THIRTEEN_ROW_ALPHA, 7))) == THIRTEEN_ROW_END
     assert greedy_counts(THIRTEEN_ROW_ALPHA, 7) == THIRTEEN_ROW_END
     print("\ncriterion 6 corollary vs simulation (incl. 13-row grid): PASS")
 
@@ -144,7 +144,7 @@ def test_criterion_7_involution_suite():
                 failures += 1
             if image.end != tuple(reversed(parts)):
                 failures += 1
-            rotated = rotate_180(build_tableau(sv)) == strip_sources(build_tableau(image).cells)
+            rotated = rotate_180(literal_grid(parts, n)) == strip_sources(literal_grid(image.parts, n))
             if not rotated:
                 failures += 1
             # the count form of the half-turn that verify reads

@@ -13,7 +13,6 @@ import pytest
 
 import scdposet
 import scdposet.starts
-import scdposet.tableau
 from scdposet import GridShape, StartVector, chain_elements, cli, decompose, format_parts
 from scdposet.decompose import CheckResult, VerificationReport
 from scdposet.starts import iter_start_parts
@@ -420,10 +419,10 @@ class TestRenderCommand:
         assert payload["cells"][3][0] == {"state": "fillable", "order": 1}
 
     def test_oversized_grid_refused_before_any_cell(self, capsys, monkeypatch):
-        def refuse(parts, n):
-            raise AssertionError(f"grid built for {parts}")
+        def refuse(sv):
+            raise AssertionError(f"grid built for {sv.parts}")
 
-        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        monkeypatch.setattr(cli, "build_tableau", refuse)
         code, out, err = run(capsys, "render", "--alpha", "0,0", "-n", "100000000")
         assert code == 1
         assert out == ""

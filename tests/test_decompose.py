@@ -215,19 +215,16 @@ class TestVerify:
         fn = module.chain_elements
         psi = module.psi
 
-        tables = set()
-
-        def counting(sv, values=None):
+        def counting(sv):
             built["chain_elements"] += 1
-            tables.add(id(values))
-            return fn(sv, values)
+            return fn(sv)
 
         def counting_psi(sv):
             built["psi"] += 1
             return psi(sv)
 
-        def refuse(parts, n):
-            raise AssertionError(f"grid built for {parts}")
+        def refuse(sv):
+            raise AssertionError(f"grid built for {sv.parts}")
 
         validated = Counter()
         original = Composition.__post_init__
@@ -238,7 +235,7 @@ class TestVerify:
 
         monkeypatch.setattr(module, "chain_elements", counting)
         monkeypatch.setattr(module, "psi", counting_psi)
-        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        monkeypatch.setattr(scdposet.tableau, "build_tableau", refuse)
         monkeypatch.setattr(Composition, "__post_init__", validating)
         report = verify(GridShape(4, 4))
         assert report.passed
@@ -247,9 +244,6 @@ class TestVerify:
         assert built["chain_elements"] <= starts + (starts + 1) // 2
         assert built["psi"] == 110
         assert validated["compositions"] <= 3 * starts
-        # every walk reads a table of part values built once: the pass's
-        # chains one, the psi images' chains another
-        assert len(tables) == 2 and id(None) not in tables
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
         # the chain still ends at the complementary rank, but not where
@@ -262,10 +256,10 @@ class TestVerify:
     def test_sampled_large_grid_colours_no_grid(self, monkeypatch):
         # a 400,000-cell grid: no cell grid is built, every per-chain check
         # runs, and memory does not grow with n
-        def refuse(parts, n):
-            raise AssertionError(f"grid built for {parts}")
+        def refuse(sv):
+            raise AssertionError(f"grid built for {sv.parts}")
 
-        monkeypatch.setattr(scdposet.tableau, "build_grid_cells", refuse)
+        monkeypatch.setattr(scdposet.tableau, "build_tableau", refuse)
         tracemalloc.start()
         try:
             report = verify(GridShape(2, 200000), sample=1)
@@ -378,8 +372,8 @@ class TestVerify:
             for parts in module.iter_start_parts(shape):
                 yield chain_elements(StartVector(Composition(shape, parts)))
 
-        def short_chain(sv, values=None):
-            return Chain(sv, chain_elements(sv, values).elements[:-1])
+        def short_chain(sv):
+            return Chain(sv, chain_elements(sv).elements[:-1])
 
         monkeypatch.setattr(module, "decompose", honest_decompose)
         monkeypatch.setattr(module, "chain_elements", short_chain)
@@ -526,8 +520,8 @@ class TestVerifyPass:
             edits = {first.alpha: first.elements[:-1]}
         original = module.chain_elements
 
-        def tampered(sv, values=None):
-            ch = original(sv, values)
+        def tampered(sv):
+            ch = original(sv)
             return Chain(ch.alpha, edits.get(sv, ch.elements))
 
         monkeypatch.setattr(module, "chain_elements", tampered)
@@ -550,9 +544,9 @@ class TestVerifyPass:
                 log.append(("start", parts))
                 yield parts
 
-        def logged_chain(sv, values=None):
+        def logged_chain(sv):
             log.append(("chain", sv.parts))
-            return chain_elements(sv, values)
+            return chain_elements(sv)
 
         monkeypatch.setattr(module, "iter_start_parts", logged_starts)
         monkeypatch.setattr(module, "chain_elements", logged_chain)
@@ -572,9 +566,9 @@ class TestVerifyPass:
         chain_elements, greedy_counts = module.chain_elements, module.greedy_counts
         built = Counter()
 
-        def reversed_chain(sv, values=None):
+        def reversed_chain(sv):
             built[sv.parts] += 1
-            ch = chain_elements(sv, values)
+            ch = chain_elements(sv)
             return Chain(ch.alpha, ch.elements[::-1])
 
         monkeypatch.setattr(module, "chain_elements", reversed_chain)

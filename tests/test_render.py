@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import scdposet.render
 from scdposet import (
     StartVector,
     build_tableau,
@@ -51,8 +54,11 @@ class TestRenderAscii:
     def test_parse_rejects_fill_tokens_render_never_writes(self, token):
         # int() would read these as 10, 2, 3, -4, 0; render writes only
         # ASCII decimals from 1 up, as parse_parts reads only ASCII decimals
-        with pytest.raises(ValueError, match="fill number"):
+        with pytest.raises(ValueError, match="row 1, cell 1 is '1'; render_ascii writes '3' there"):
             parse_ascii(f"alpha=0,0 alphaE=0,0\n  1   G\n  X {token:>3}")
+        # the same token in place of the last fill number of a rendered grid
+        with pytest.raises(ValueError, match=re.escape(f"row 2, cell 2 is {token!r}; render_ascii writes '2' there")):
+            parse_ascii(f"alpha=0,0 alphaE=0,0\n  3   4\n  1 {token:>3}")
 
     @pytest.mark.parametrize(
         "text",
@@ -67,7 +73,7 @@ class TestRenderAscii:
     )
     def test_parse_rejects_fill_numbers_render_never_writes(self, text):
         # render numbers the K fillable cells 1..K bottom to top, left to right
-        with pytest.raises(ValueError, match=r"fill numbers are not 1\.\.4 read bottom to top, left to right"):
+        with pytest.raises(ValueError, match=r"row \d, cell \d is '\d'; render_ascii writes '\d' there"):
             parse_ascii(text)
 
     @pytest.mark.parametrize(
@@ -84,15 +90,41 @@ class TestRenderAscii:
         [
             ("alpha=0,0 alphaE=9,9,9 junk\n  1   2\n  3   4", "header line"),
             ("alpha=0,0\n  3   4\n  1   2", "header line"),
-            ("alpha=0,0 alphaE=0\n  3   4\n  1   2", "2 parts of alpha but 1 of alphaE"),
-            ("alpha=5,5 alphaE=0,0\n  G   G\n  G   G", "row 1 holds 2 fixed and 0 forbidden cells, the header says 5 and 0"),
-            ("alpha=0,0 alphaE=0,1\n  3   4\n  1   2", "row 2 holds 0 fixed and 0 forbidden cells, the header says 0 and 1"),
+            ("alpha=0,0 alphaE=0\n  3   4\n  1   2", "header 'alpha=0,0 alphaE=0' is not 'alpha=0,0 alphaE=0,0'"),
+            ("alpha=5,5 alphaE=0,0\n  G   G\n  G   G", r"part 5 outside \[0, 2\] in \(5, 5\)"),
+            ("alpha=0,0 alphaE=0,1\n  3   4\n  1   2", "header 'alpha=0,0 alphaE=0,1' is not 'alpha=0,0 alphaE=0,0'"),
         ],
         ids=["extra-header-fields", "no-alphaE", "short-alphaE", "alpha-over-grid", "missing-forbidden-cell"],
     )
     def test_parse_rejects_header_or_cell_counts_render_never_writes(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_ascii(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("alpha=0,1 alphaE=0,0\n  2   3\n  G   1", r"\(0, 1\) is not a start vector for n=2"),
+            ("alpha=0,0 alphaE=0,1\n  2   3\n  1   X", "header 'alpha=0,0 alphaE=0,1' is not 'alpha=0,0 alphaE=0,0'"),
+            ("alpha=1,0 alphaE=0,1\n  2   G\n  1   X", "row 1, cell 1 is '2'; render_ascii writes 'G' there"),
+            ("alpha=1,0 alphaE=0,1\n  G   2\n  X   1", "row 2, cell 1 is 'X'; render_ascii writes '1' there"),
+        ],
+        ids=["alpha-not-a-start", "wrong-alphaE", "fixed-right-of-a-fill", "forbidden-left-of-a-fill"],
+    )
+    def test_parse_rejects_texts_whose_cell_counts_agree(self, text, message):
+        # each row holds as many fixed and forbidden cells as the header
+        # says, and the fill numbers run 1..K bottom to top, left to right,
+        # yet render_ascii writes none of these texts
+        with pytest.raises(ValueError, match=message):
+            parse_ascii(text)
+
+    def test_parse_refuses_a_mis_shaped_body_before_building_cells(self, monkeypatch):
+        def refuse(sv):
+            raise AssertionError(f"tableau built for {sv.shape}")
+
+        monkeypatch.setattr(scdposet.render, "build_tableau", refuse)
+        zeros = ",".join(["0"] * 10**5)
+        with pytest.raises(ValueError, match=r"expected 100000 rows of equal length, got \[2\] cells per row"):
+            parse_ascii(f"alpha={zeros} alphaE={zeros}\n  1   2")
 
     @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 10**6))
     def test_round_trip_random_alpha(self, m, n, pick):

@@ -15,9 +15,9 @@ import pytest
 
 from scdposet.locate import locate_parts
 from scdposet.starts import NotStartVectorError, alpha_end_parts
-from scdposet.tableau import Forbidden, TableauConstructionError, build_grid_cells, greedy_counts
+from scdposet.tableau import Forbidden, TableauConstructionError, greedy_counts
 
-from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector
+from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_grid
 
 
 def outcome(scan, parts, n):
@@ -39,7 +39,7 @@ def literal_end(parts, n):
 def grid_counts(parts, n):
     """Per-row forbidden counts of the literal greedy grid, or its refusal."""
     try:
-        cells = build_grid_cells(parts, n)
+        cells = literal_grid(parts, n)
     except TableauConstructionError as exc:
         return TableauConstructionError, str(exc)
     return tuple(sum(isinstance(cell, Forbidden) for cell in row) for row in cells)

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from scdposet import (
+    ChainTableau,
     Composition,
     Fillable,
     Fixed,
@@ -27,9 +28,9 @@ from scdposet import (
 )
 from scdposet import cli, tableau
 from scdposet.starts import alpha_end_parts, iter_start_parts
-from scdposet.tableau import build_grid_cells, fill_walk, greedy_counts
+from scdposet.tableau import fill_walk, greedy_counts
 
-from conftest import SMALL_SHAPES
+from conftest import SMALL_SHAPES, literal_grid
 
 SAMPLE_A = StartVector.of((2, 0, 5, 0), 6)
 SAMPLE_A_CHAIN = [
@@ -85,9 +86,20 @@ class TestBuildTableau:
             # every source row spawns exactly its own part count
             assert tuple(counts[: small_shape.m - 1]) == sv.parts[: small_shape.m - 1]
 
+    def test_equals_the_literal_grid_sources_included(self):
+        # cells and forbidden sources, on every start of the small shapes
+        # and four larger grids
+        count = 0
+        for m, n in [*SMALL_SHAPES, (6, 4), (5, 6), (8, 3), (3, 20)]:
+            for parts in iter_start_parts(GridShape(m, n)):
+                sv = StartVector.of(parts, n)
+                assert build_tableau(sv) == ChainTableau(sv, literal_grid(parts, n)), parts
+                count += 1
+        assert count == 11_879
+
     def test_overflow_raises_for_non_start(self):
         with pytest.raises(TableauConstructionError):
-            build_grid_cells((2, 2, 0), 2)
+            greedy_counts((2, 2, 0), 2)
         # the count-only greedy rule raises exactly where the literal grid
         # does, on every composition, and otherwise gives its forbidden counts
         for m, n in SMALL_SHAPES:
@@ -95,7 +107,7 @@ class TestBuildTableau:
                 continue
             for parts in product(range(n + 1), repeat=m):
                 try:
-                    cells = build_grid_cells(parts, n)
+                    cells = literal_grid(parts, n)
                     expected = tuple(sum(isinstance(cell, Forbidden) for cell in row) for row in cells)
                 except TableauConstructionError:
                     expected = None
@@ -126,7 +138,7 @@ class TestChainElements:
         # the literal grid's fill numbers, read in order, walk the same chain
         for parts in iter_start_parts(small_shape):
             sv = StartVector.of(parts, small_shape.n)
-            cells = build_tableau(sv).cells
+            cells = literal_grid(parts, small_shape.n)
             fills = sorted(
                 (cell.order, i) for i, row in enumerate(cells) for cell in row if isinstance(cell, Fillable)
             )
@@ -138,10 +150,11 @@ class TestChainElements:
             assert list(chain_elements(sv).elements) == expected
 
     def test_chain_path_never_builds_grid(self, monkeypatch, capsys):
-        def refuse(parts, n):
-            raise AssertionError(f"grid built for {parts}")
+        def refuse(sv):
+            raise AssertionError(f"grid built for {sv.parts}")
 
-        monkeypatch.setattr(tableau, "build_grid_cells", refuse)
+        monkeypatch.setattr(tableau, "build_tableau", refuse)
+        monkeypatch.setattr(cli, "build_tableau", refuse)
         assert list(chain_elements(SAMPLE_A).elements) == SAMPLE_A_CHAIN
         chains = [ch.elements for ch in decompose(GridShape(2, 1))]
         assert chains == [((0, 0), (0, 1), (1, 1)), ((1, 0),)]
@@ -199,9 +212,9 @@ def seeded_start(seed, m, n):
 
 
 class TestFillWalk:
-    """`chain_elements` walks a table of the part values, `decompose` one of
-    their strings and `chain` strings made on demand; every walk must give
-    the same elements."""
+    """`chain_elements` walks the part values, as a range or a list,
+    `decompose` their strings and `chain` strings made on demand; every walk
+    must give the same elements."""
 
     @staticmethod
     def walks(sv):
@@ -234,11 +247,6 @@ class TestFillWalk:
             for el in self.walks(StartVector.of(parts, n)):
                 widths.update(len(str(p)) for p in el)
         assert widths == {len(str(p)) for p in range(n + 1)}
-
-    def test_chain_elements_takes_the_callers_table(self):
-        values = list(range(SAMPLE_A.shape.n + 1))
-        assert chain_elements(SAMPLE_A, values) == chain_elements(SAMPLE_A)
-        assert list(chain_elements(SAMPLE_A, values).elements) == SAMPLE_A_CHAIN
 
 
 class TestElementAt:
