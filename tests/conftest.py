@@ -1,16 +1,22 @@
-"""Shared fixtures, independent brute-force oracles and one planted fault.
+"""Shared fixtures, independent brute-force oracles and planted faults.
 
 The oracles here recompute everything from definitions with plain nested
 sums and exhaustive scans, on purpose: they share no code with the package
 so that a transcription mistake on either side shows up as a disagreement.
 The literal greedy grid borrows only the package's cell and error types, so
 its output compares with `build_tableau`'s directly.
+
+`FAULTS` names one planted fault per entry, each a wrong version of one
+production function; `plant` installs it wherever the package binds that
+function, so every caller, and no check, reads the fault.
 """
 
+import importlib
 from itertools import product
 
 import pytest
 
+import scdposet
 from scdposet import GridShape
 from scdposet.tableau import Fillable, Fixed, Forbidden, TableauConstructionError
 
@@ -46,6 +52,126 @@ def shift_one_forbidden_cell(original, upward=True):
         return tuple(end)
 
     return shifted
+
+
+def locate_off_at_first_close(original):
+    """A planted fault: `original` located starts whose part at the first
+    block the backward scan closes, the lowest row below m whose part is
+    cut back, is one too large (still within [0, c_i])."""
+
+    def located(c, n):
+        alpha = list(original(c, n))
+        closed = [r for r in range(len(c) - 1) if alpha[r] != c[r]]
+        if closed:
+            alpha[closed[-1]] += 1
+        return tuple(alpha)
+
+    return located
+
+
+def psi_wrong_at_larger_start(original):
+    """A planted fault: `original` psi, except that the larger start of
+    each pair maps to itself."""
+
+    def wrong(sv):
+        image = original(sv)
+        return sv if image.parts < sv.parts else image
+
+    return wrong
+
+
+def is_keyed_start(parts):
+    """The start (1, 0, ..., 0) the keyed faults act on: in every grid with
+    m >= 3 it is the larger start of its psi pair, whose smaller start is
+    (0, ..., 0, 1, 0)."""
+    return parts[0] == 1 and not any(parts[1:])
+
+
+def walk_editing_keyed_chain(edit):
+    """A planted fault: `fill_walk`, with `edit` applied to the walk of the
+    keyed start's chain."""
+
+    def make(original):
+        def walk(alpha, table, make_element):
+            out = original(alpha, table, make_element)
+            if is_keyed_start(alpha.parts):
+                edit(out)
+            return out
+
+        return walk
+
+    return make
+
+
+def _skip_one(out):
+    del out[1]
+
+
+def _repeat_one(out):
+    out.insert(1, out[1])
+
+
+def _swap_two(out):
+    out[1], out[2] = out[2], out[1]
+
+
+def starts_editing_keyed_start(copies):
+    """A planted fault: the start enumeration yields the keyed start
+    `copies` times instead of once."""
+
+    def make(original):
+        def starts(shape):
+            for parts in original(shape):
+                yield from [parts] * (copies if is_keyed_start(parts) else 1)
+
+        return starts
+
+    return make
+
+
+def element_at_wrong_at_first_interior(original):
+    """A planted fault: random access returns element 0 for position 1 of
+    every chain with an interior position."""
+
+    def at(alpha, j):
+        interior = j == 1 and alpha.shape.top_rank - 2 * sum(alpha.parts) > 1
+        return original(alpha, 0 if interior else j)
+
+    return at
+
+
+# name -> (home module, production function, maker of its faulty version)
+FAULTS = {
+    "alpha_end_parts shifted up": ("starts", "alpha_end_parts", shift_one_forbidden_cell),
+    "alpha_end_parts shifted down": (
+        "starts",
+        "alpha_end_parts",
+        lambda original: shift_one_forbidden_cell(original, upward=False),
+    ),
+    "locate_parts off by one at a block boundary": ("locate", "locate_parts", locate_off_at_first_close),
+    "greedy_counts shifted": ("tableau", "greedy_counts", shift_one_forbidden_cell),
+    "psi wrong at the larger start": ("starts", "psi", psi_wrong_at_larger_start),
+    "fill_walk skipping one element": ("tableau", "fill_walk", walk_editing_keyed_chain(_skip_one)),
+    "fill_walk repeating one element": ("tableau", "fill_walk", walk_editing_keyed_chain(_repeat_one)),
+    "fill_walk swapping two elements": ("tableau", "fill_walk", walk_editing_keyed_chain(_swap_two)),
+    "iter_start_parts dropping one start": ("starts", "iter_start_parts", starts_editing_keyed_start(0)),
+    "iter_start_parts repeating one start": ("starts", "iter_start_parts", starts_editing_keyed_start(2)),
+    "element_at wrong at one interior position": ("tableau", "element_at", element_at_wrong_at_first_interior),
+}
+
+_PACKAGE_MODULES = ("core", "starts", "tableau", "locate", "decompose", "render", "cli")
+
+
+def plant(monkeypatch, home, name, make_fault):
+    """Replace the function `name` of `scdposet.<home>` with
+    `make_fault(original)` in every module of the package that binds it."""
+    original = getattr(importlib.import_module(f"scdposet.{home}"), name)
+    faulty = make_fault(original)
+    modules = [scdposet, *(importlib.import_module(f"scdposet.{m}") for m in _PACKAGE_MODULES)]
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, faulty)
+    return original
 
 
 def record_checks(monkeypatch, *classes):
