@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 from math import comb
-from operator import le
+from operator import le, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, Frozen, GridShape, Record, _set
@@ -301,15 +301,22 @@ class _StartValue:
     the whole chain as `elements`, for the partition claims and the
     involution, and every position is probed; sampled mode leaves `elements`
     None and probes a bounded set of positions by O(m) random access.
+
+    `partner` marks the larger start of a psi pair whose smaller start has
+    passed `involution` in this full-mode pass, which settled the checks
+    that read the greedy counts (see `verify`), so they are not built.
     """
 
-    __slots__ = ("sv", "elements", "at", "positions", "greedy")
+    __slots__ = ("sv", "elements", "at", "positions", "partner", "greedy")
 
-    def __init__(self, sv: StartVector, elements: tuple[tuple[int, ...], ...] | None = None) -> None:
+    def __init__(
+        self, sv: StartVector, elements: tuple[tuple[int, ...], ...] | None = None, partner: bool = False
+    ) -> None:
         self.sv = sv
         self.elements = elements
         self.at, self.positions = _probe(sv, elements)
-        self.greedy = greedy_counts(sv.parts, sv.shape.n)
+        self.partner = partner
+        self.greedy = None if partner else greedy_counts(sv.parts, sv.shape.n)
 
 
 def _probe(sv: StartVector, elements: tuple[tuple[int, ...], ...] | None) -> tuple[Callable, Sequence[int]]:
@@ -321,22 +328,30 @@ def _probe(sv: StartVector, elements: tuple[tuple[int, ...], ...] | None) -> tup
     return (lambda j: element_at(sv, j).parts), positions
 
 
-def _check_symmetric(v: _StartValue) -> dict | None:
+def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
     """The chain ends at the complementary rank, on an element no upper cover of
     which stays on the chain.  Membership is decided by `locate_parts`, which
-    does not use the end-vector formula the chain is built from."""
+    does not use the end-vector formula the chain is built from.
+
+    With `covers` False the upper covers are not located: when the
+    partition oracle runs, `partition` shows every composition, each upper
+    cover included, is the element of some chain, and `disjoint` locates
+    every element to its own chain's start, so an upper cover of this
+    end, which lies above every element of this (saturated) chain, cannot
+    locate to its start.  The end locate and the rank test still run."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
     if located != parts:
         return {"alpha": list(parts), "end": list(end), "located": list(located)}
-    up = list(end)  # each upper cover in turn, one part raised in place
-    for i, p in enumerate(end):
-        if p < n:
-            up[i] = p + 1
-            if locate_parts(up, n) == parts:
-                return {"alpha": list(parts), "end": list(end), "extends_to": up}
-            up[i] = p
+    if covers:
+        up = list(end)  # each upper cover in turn, one part raised in place
+        for i, p in enumerate(end):
+            if p < n:
+                up[i] = p + 1
+                if locate_parts(up, n) == parts:
+                    return {"alpha": list(parts), "end": list(end), "extends_to": up}
+                up[i] = p
     lo, hi = sum(parts), sum(end)
     if lo + hi != v.sv.shape.top_rank:
         return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
@@ -344,7 +359,10 @@ def _check_symmetric(v: _StartValue) -> dict | None:
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
-    """Consecutive probed elements differ by one unit vector."""
+    """Consecutive probed elements differ by one unit vector; settled at a
+    partner by its smaller start's `involution` (see `verify`)."""
+    if v.partner:
+        return None
     for j in v.positions[:-1]:
         a, b = v.at(j), v.at(j + 1)
         if sum(b) - sum(a) != 1 or not all(map(le, a, b)):
@@ -361,7 +379,7 @@ def _check_disjoint(v: _StartValue) -> dict | None:
     return None
 
 
-def _check_involution(v: _StartValue, partners: set[tuple[int, ...]] | None = None) -> dict | None:
+def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict | None:
     """psi is an involution, turns the greedy tableau half round, and maps the
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
@@ -373,16 +391,20 @@ def _check_involution(v: _StartValue, partners: set[tuple[int, ...]] | None = No
     psi(psi(alpha)) = alpha, so full mode checks each pair once, at its
     lexicographically smaller start, which the pass reaches first.  That
     start applies psi to its image too, compares both greedy end vectors
-    and both chains, and on passing adds the image's parts to `partners`;
-    the pass then skips the image's own check, which would recompute the
-    same two psi images.  Every start not in `partners` runs the whole
-    check; with a true involution that is each smaller or self-paired
-    start.  Sampled mode may not hold the partner: it passes no `partners`
-    and checks every start."""
-    parts, n = v.sv.parts, v.sv.shape.n
-    if partners is not None and parts in partners:
-        partners.remove(parts)
+    and both chains, and on passing sets the bit of the image's `_slot` in
+    `partners`.  The pass marks the image's value a partner when it reaches
+    it, and the check passes there without recomputing the same two psi
+    images.  Every other start runs the whole check; with a true involution
+    that is each smaller or self-paired start.  Sampled mode may not hold
+    the partner: it passes no `partners` and checks every start.
+
+    In full mode the image chain compares with the reversed star of this
+    chain in one pass of C-level iterators; the positions are walked, as
+    sampled mode walks its probes, only after a mismatch, for the first
+    one."""
+    if v.partner:
         return None
+    parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
     except NotStartVectorError:
@@ -402,15 +424,27 @@ def _check_involution(v: _StartValue, partners: set[tuple[int, ...]] | None = No
     if image_positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
     last = v.positions[-1]
-    for j in v.positions:
-        if image_at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
-            return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
+    if elements is None or any(map(ne, image_elements, _reversed_star(elements, n))):
+        for j in v.positions:
+            if image_at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
+                return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     if partners is not None and iparts != parts:
-        partners.add(iparts)
+        k = _slot(iparts, len(iparts), n)
+        partners[k >> 3] |= 1 << (k & 7)
     return None
 
 
+def _reversed_star(elements: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
+    """The star n - x of each of `elements`, reversed, last element first,
+    made one at a time as it is read."""
+    return map(tuple, map(map, repeat(n.__sub__), map(reversed, reversed(elements))))
+
+
 def _check_corollary(v: _StartValue) -> dict | None:
+    """The end-vector formula equals the greedy simulation; settled at a
+    partner by its smaller start's `involution` (see `verify`)."""
+    if v.partner:
+        return None
     if v.sv.end != v.greedy:
         return {"alpha": list(v.sv.parts), "formula": list(v.sv.end), "simulation": list(v.greedy)}
     return None
@@ -466,6 +500,19 @@ def verify(
     stream for a check still passing: the partition's sweep for a slot left
     unclaimed, and the sampled random round trips of `disjoint`.  Reports
     from repeated runs are identical apart from timings.
+
+    Full mode skips only work whose verdict another check of the same pass
+    has already decided, and every check stays in the report:
+      * that no upper cover of a chain's end stays on the chain is shown,
+        with the oracle, by `partition` and `disjoint` together (see
+        `_check_symmetric`); without the oracle, and in sampled mode,
+        `symmetric` locates every upper cover;
+      * at the larger start beta of each psi pair, `saturated` and
+        `corollary-vs-simulation` are decided by `involution` at the
+        smaller start alpha: beta's chain, built by the same
+        `chain_elements`, is the reversed star of alpha's saturated chain,
+        and greedy(beta) = alpha reversed = beta's end vector, since
+        psi(beta) = alpha.  Sampled mode runs both checks at every start.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
@@ -488,15 +535,26 @@ def verify(
         t0 = clock()
         claims = _ClaimTable(shape)
         checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
+        checks["symmetric"] = lambda v: _check_symmetric(v, covers=False)
         finish["partition"] = claims.missing, ""
         seconds["partition"] = clock() - t0
     if full:
-        # larger starts of checked pairs, each held until the pass reaches
-        # it: one entry per pair still open, not a slot per composition
-        partners: set[tuple[int, ...]] = set()
+        # one bit per composition, set at the slot of each larger start of
+        # a checked pair until the pass reaches it: poset_size / 8 bytes,
+        # less than a set of the slots of the pairs still open
+        partners = bytearray((poset_size + 7) >> 3)
         checks["involution"] = lambda v: _check_involution(v, partners)
+        m, n = shape.m, shape.n
+
+        def full_value(ch: Chain) -> _StartValue:
+            k = _slot(ch.alpha.parts, m, n)  # None for a start outside the grid, never a partner
+            partner = k is not None and partners[k >> 3] >> (k & 7) & 1
+            if partner:
+                partners[k >> 3] ^= 1 << (k & 7)
+            return _StartValue(ch.alpha, ch.elements, bool(partner))
+
         starts: Iterable = ()  # the pass counts every start of `decompose`
-        values = (_StartValue(ch.alpha, ch.elements) for ch in decompose(shape))
+        values = map(full_value, decompose(shape))
     else:
         starts = iter_start_parts(shape)
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))

@@ -23,7 +23,15 @@ from scdposet import (
 )
 from scdposet.decompose import middle_level_size
 
-from conftest import all_parts, brute_level_sizes, dbtk_chains, record_checks, shift_one_forbidden_cell
+from conftest import (
+    all_parts,
+    brute_level_sizes,
+    dbtk_chains,
+    plant,
+    record_checks,
+    shift_one_forbidden_cell,
+    walk_editing_keyed_chain,
+)
 
 
 class TestDecompose:
@@ -204,7 +212,8 @@ class TestVerify:
 
     def test_full_mode_builds_each_chain_once_and_no_grid(self, monkeypatch):
         # one value per start: its chain, which the partition oracle claims,
-        # and its greedy row counts, plus the psi image's chain once per pair
+        # and, except at the larger start of a pair, its greedy row counts,
+        # plus the psi image's chain once per pair
         # of distinct starts; no cell grid is coloured, and chain elements
         # stay plain tuples, so the only Compositions are those of the
         # start, psi(start) and psi(psi(start)).  psi runs twice at each of
@@ -586,6 +595,87 @@ class TestVerifyPass:
             assert report.check("partition").passed and not report.check("partition").skipped
         else:
             assert report.check("partition").skipped
+
+    @pytest.mark.parametrize("use_oracle", [True, False])
+    def test_upper_covers_are_located_only_without_the_oracle(self, monkeypatch, use_oracle):
+        # disjoint locates every element; symmetric locates every end, and
+        # every upper cover of every end only when no partition oracle
+        # settles them
+        module = importlib.import_module("scdposet.decompose")
+        original = module.locate_parts
+        calls = Counter()
+
+        def counting(c, n):
+            calls["locate_parts"] += 1
+            return original(c, n)
+
+        monkeypatch.setattr(module, "locate_parts", counting)
+        shape = GridShape(4, 4)
+        assert verify(shape, use_oracle=use_oracle).passed
+        ends = [ch.elements[-1] for ch in decompose(shape)]
+        covers = sum(p < shape.n for end in ends for p in end)
+        assert calls["locate_parts"] == shape.size + len(ends) + (0 if use_oracle else covers)
+
+    def test_partner_starts_skip_what_their_pair_settled(self, monkeypatch):
+        # the 30 larger starts of N(4, 4)'s psi pairs are the partners: no
+        # greedy counts are built for them, while each of the 55 smaller or
+        # self-paired starts builds its own and its image's
+        module = importlib.import_module("scdposet.decompose")
+        shape = GridShape(4, 4)
+        larger = set()
+        for parts in scdposet.starts.iter_start_parts(shape):
+            image = scdposet.starts.psi(StartVector.of(parts, shape.n)).parts
+            if image > parts:
+                larger.add(image)
+        saturated = module._CHAIN_CHECKS["saturated"]
+        partners = set()
+        counted = Counter()
+        greedy_counts = module.greedy_counts
+
+        def noting(v):
+            if v.partner:
+                partners.add(v.sv.parts)
+            return saturated(v)
+
+        def counting(parts, n):
+            counted[parts] += 1
+            return greedy_counts(parts, n)
+
+        monkeypatch.setitem(module._CHAIN_CHECKS, "saturated", noting)
+        monkeypatch.setattr(module, "greedy_counts", counting)
+        assert verify(shape).passed
+        assert len(larger) == 30 and partners == larger
+        assert sum(counted.values()) == 2 * 55 and counted.keys() == set(scdposet.starts.iter_start_parts(shape))
+
+    @pytest.mark.parametrize("first", [1, 3, 6])
+    def test_involution_reports_the_first_mismatched_position(self, monkeypatch, first):
+        # the chain of (1, 0, 0, 0), psi image of (0, 0, 1, 0), with two
+        # elements swapped from position `first` on
+        def swap(out):
+            out[first], out[first + 1] = out[first + 1], out[first]
+
+        plant(monkeypatch, "tableau", "fill_walk", walk_editing_keyed_chain(swap))
+        involution = verify(GridShape(4, 4)).check("involution")
+        assert involution.counterexample == {
+            "alpha": [0, 0, 1, 0],
+            "psi": [1, 0, 0, 0],
+            "reason": f"chain mismatch at position {first}",
+        }
+
+    def test_stream_start_outside_the_grid_is_reported_not_raised(self, monkeypatch):
+        # a start from another grid has no slot in this one, so it is never
+        # taken for a partner; partition refuses it
+        module = importlib.import_module("scdposet.decompose")
+        honest = module.decompose
+
+        def with_stranger(shape):
+            yield from honest(shape)
+            yield module.chain_elements(StartVector.of((2, 0), 3))
+
+        monkeypatch.setattr(module, "decompose", with_stranger)
+        report = verify(GridShape(2, 1))
+        assert report.check("partition").counterexample == {"element": [2, 0], "chains": [[2, 0]]}
+        assert not report.check("middle-rank-count").passed
 
     def test_pass_reads_the_decompose_stream(self, monkeypatch):
         # verify certifies the chains `decompose` streams, not a rebuild of
