@@ -1,25 +1,7 @@
 """Symmetric chain decomposition of the grid poset of bounded compositions."""
 
-from .core import (
-    Composition,
-    GridShape,
-    ShapeMismatchError,
-    covers,
-    format_parts,
-    leq,
-    parse_parts,
-    rank,
-    star,
-)
-from .decompose import (
-    LevelProfile,
-    VerificationReport,
-    chain_length_histogram,
-    check_partition,
-    decompose,
-    level_sizes,
-    verify,
-)
+from .core import Composition, GridShape, rank
+from .decompose import LevelProfile, VerificationReport, decompose, level_sizes, verify
 from .locate import CertificateError, MembershipCertificate, certificate, locate, locate_parts
 from .render import parse_ascii, render_ascii, render_svg, tableau_payload
 from .starts import NotStartVectorError, StartVector, psi
@@ -29,14 +11,10 @@ from .tableau import (
     Fillable,
     Fixed,
     Forbidden,
-    TableauConstructionError,
     build_tableau,
-    alpha_end_from_tableau,
     chain_contains,
     chain_elements,
     element_at,
-    rotate_180,
-    strip_sources,
 )
 
 __version__ = "0.1.0"
@@ -53,34 +31,22 @@ __all__ = [
     "LevelProfile",
     "MembershipCertificate",
     "NotStartVectorError",
-    "ShapeMismatchError",
     "StartVector",
-    "TableauConstructionError",
     "VerificationReport",
-    "alpha_end_from_tableau",
     "build_tableau",
     "certificate",
     "chain_contains",
     "chain_elements",
-    "chain_length_histogram",
-    "check_partition",
-    "covers",
     "decompose",
     "element_at",
-    "format_parts",
-    "leq",
     "level_sizes",
     "locate",
     "locate_parts",
     "parse_ascii",
-    "parse_parts",
     "psi",
     "rank",
     "render_ascii",
     "render_svg",
-    "rotate_180",
-    "star",
-    "strip_sources",
     "tableau_payload",
     "verify",
 ]

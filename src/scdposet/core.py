@@ -187,28 +187,17 @@ def rank(c: Composition) -> int:
     return sum(c.parts)
 
 
-def _require_same_shape(b: Composition, a: Composition) -> None:
-    if b.shape != a.shape:
-        raise ShapeMismatchError(f"shape mismatch: {b.shape} vs {a.shape}")
-
-
 def leq(b: Composition, a: Composition) -> bool:
     """Componentwise order: every part of `b` is at most the matching part of `a`."""
-    _require_same_shape(b, a)
+    if b.shape != a.shape:
+        raise ShapeMismatchError(f"shape mismatch: {b.shape} vs {a.shape}")
     return all(x <= y for x, y in zip(b.parts, a.parts))
 
 
 def covers(low: Composition, high: Composition) -> bool:
-    """True iff `high` equals `low` plus a standard unit vector."""
-    _require_same_shape(low, high)
-    bumped = 0
-    for x, y in zip(low.parts, high.parts):
-        if y == x:
-            continue
-        if y != x + 1:
-            return False
-        bumped += 1
-    return bumped == 1
+    """True iff `high` equals `low` plus a standard unit vector: `low <= high`
+    one rank apart."""
+    return leq(low, high) and rank(high) == rank(low) + 1
 
 
 def star(c: Composition) -> Composition:

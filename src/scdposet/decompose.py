@@ -286,12 +286,13 @@ def check_partition(shape: GridShape, chains: Iterable[Chain]) -> CheckResult:
     return CheckResult("partition", bad is None, time.perf_counter() - t0, bad)
 
 
-def _positions(k: int, limit: int) -> list[int]:
-    """Up to `limit` deterministic probe positions in 0..k, always with the ends."""
-    if k + 1 <= limit:
+def _positions(k: int) -> list[int]:
+    """Up to `POSITIONS_PER_CHAIN` deterministic probe positions in 0..k,
+    always with the ends."""
+    if k < POSITIONS_PER_CHAIN:
         return list(range(k + 1))
-    step = k / (limit - 1)
-    return sorted({round(i * step) for i in range(limit)})
+    step = k / (POSITIONS_PER_CHAIN - 1)
+    return sorted({round(i * step) for i in range(POSITIONS_PER_CHAIN)})
 
 
 class _StartValue:
@@ -302,9 +303,8 @@ class _StartValue:
     involution, and every position is probed; sampled mode leaves `elements`
     None and probes a bounded set of positions by O(m) random access.
 
-    `partner` marks the larger start of a psi pair whose smaller start has
-    passed `involution` in this full-mode pass, which settled the checks
-    that read the greedy counts (see `verify`), so they are not built.
+    `partner` marks the larger start of a psi pair that full mode skips
+    (see `verify`); a partner's greedy counts are not built.
     """
 
     __slots__ = ("sv", "elements", "at", "positions", "partner", "greedy")
@@ -324,7 +324,7 @@ def _probe(sv: StartVector, elements: tuple[tuple[int, ...], ...] | None) -> tup
     position of `elements` when given, else a bounded set by random access."""
     if elements is not None:
         return elements.__getitem__, range(len(elements))
-    positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts), POSITIONS_PER_CHAIN)
+    positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts))
     return (lambda j: element_at(sv, j).parts), positions
 
 
@@ -333,12 +333,9 @@ def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
     which stays on the chain.  Membership is decided by `locate_parts`, which
     does not use the end-vector formula the chain is built from.
 
-    With `covers` False the upper covers are not located: when the
-    partition oracle runs, `partition` shows every composition, each upper
-    cover included, is the element of some chain, and `disjoint` locates
-    every element to its own chain's start, so an upper cover of this
-    end, which lies above every element of this (saturated) chain, cannot
-    locate to its start.  The end locate and the rank test still run."""
+    With `covers` False the upper covers are not located (see `verify` for
+    why full mode with the oracle may skip them); the end locate and the
+    rank test still run."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
@@ -359,8 +356,8 @@ def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
-    """Consecutive probed elements differ by one unit vector; settled at a
-    partner by its smaller start's `involution` (see `verify`)."""
+    """Consecutive probed elements differ by one unit vector; passes at a
+    partner (see `verify`)."""
     if v.partner:
         return None
     for j in v.positions[:-1]:
@@ -387,16 +384,8 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     greedy end vectors of alpha and psi(alpha).  An image outside the
     starting set is a counterexample, not an error.
 
-    Every identity checked here is symmetric in alpha and psi(alpha) once
-    psi(psi(alpha)) = alpha, so full mode checks each pair once, at its
-    lexicographically smaller start, which the pass reaches first.  That
-    start applies psi to its image too, compares both greedy end vectors
-    and both chains, and on passing sets the bit of the image's `_slot` in
-    `partners`.  The pass marks the image's value a partner when it reaches
-    it, and the check passes there without recomputing the same two psi
-    images.  Every other start runs the whole check; with a true involution
-    that is each smaller or self-paired start.  Sampled mode may not hold
-    the partner: it passes no `partners` and checks every start.
+    Given `partners` (full mode), a pass sets the bit of the image's
+    `_slot`, and the check passes at a partner (see `verify`).
 
     In full mode the image chain compares with the reversed star of this
     chain in one pass of C-level iterators; the positions are walked, as
@@ -441,8 +430,8 @@ def _reversed_star(elements: Sequence[tuple[int, ...]], n: int) -> Iterator[tupl
 
 
 def _check_corollary(v: _StartValue) -> dict | None:
-    """The end-vector formula equals the greedy simulation; settled at a
-    partner by its smaller start's `involution` (see `verify`)."""
+    """The end-vector formula equals the greedy simulation; passes at a
+    partner (see `verify`)."""
     if v.partner:
         return None
     if v.sv.end != v.greedy:
@@ -461,9 +450,10 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 }
 
 
-def _random_roundtrip(shape: GridShape, count: int, seed: int = 0) -> dict | None:
-    """Locate random compositions and probe membership via random access."""
-    rng = random.Random(seed)
+def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
+    """Locate `count` seeded random compositions and probe membership via
+    random access."""
+    rng = random.Random(0)
     n = shape.n
     for _ in range(count):
         c = Composition(shape, tuple(rng.randint(0, n) for _ in range(shape.m)))
@@ -502,17 +492,28 @@ def verify(
     from repeated runs are identical apart from timings.
 
     Full mode skips only work whose verdict another check of the same pass
-    has already decided, and every check stays in the report:
-      * that no upper cover of a chain's end stays on the chain is shown,
-        with the oracle, by `partition` and `disjoint` together (see
-        `_check_symmetric`); without the oracle, and in sampled mode,
-        `symmetric` locates every upper cover;
-      * at the larger start beta of each psi pair, `saturated` and
-        `corollary-vs-simulation` are decided by `involution` at the
-        smaller start alpha: beta's chain, built by the same
+    has already decided, and every check stays in the report.  Sampled mode
+    skips nothing: it runs every check at every sampled start.
+      * With the oracle, `symmetric` does not locate the upper covers of a
+        chain's end.  `partition` shows that every composition, each upper
+        cover included, lies on some chain, and `disjoint` locates every
+        element to its own chain's start; an upper cover of the end lies
+        above every element of the (saturated) chain, so it cannot locate
+        to its start.  Without the oracle `symmetric` locates every upper
+        cover.
+      * Each psi pair is checked once, at its lexicographically smaller
+        start alpha, which the pass reaches first.  Every identity of
+        `involution` is symmetric in alpha and beta = psi(alpha) once
+        psi(beta) = alpha, so at alpha it applies psi to beta too, compares
+        both greedy end vectors and both chains, and on passing sets the
+        bit of beta's `_slot` in a `partners` table.  The pass marks beta's
+        value a partner when it reaches it.  At a partner, `involution`,
+        `saturated` and `corollary-vs-simulation` pass without running and
+        the greedy counts are not built: beta's chain, built by the same
         `chain_elements`, is the reversed star of alpha's saturated chain,
-        and greedy(beta) = alpha reversed = beta's end vector, since
-        psi(beta) = alpha.  Sampled mode runs both checks at every start.
+        and greedy(beta) = alpha reversed = beta's end vector.  Every other
+        start runs every check; with a true involution that is each smaller
+        or self-paired start.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")

@@ -317,6 +317,39 @@ def dbtk_chains(m, n):
     return chains
 
 
+def bracket_locate(x, n):
+    """Start of the chain of `x` by Greene and Kleitman's bracketing
+    (J. Combin. Theory Ser. A 20, 1976).
+
+    Read the rows from m down to 1, row i as x[i] closing brackets followed
+    by n - x[i] opening ones, and match as in a bracket word.  The start
+    keeps only the matched closing brackets of each row: a row's closing
+    brackets match the opening ones still unmatched in the rows read before
+    it, which `unmatched` counts.
+    """
+    alpha = [0] * len(x)
+    unmatched = 0
+    for i in range(len(x) - 1, -1, -1):
+        alpha[i] = min(x[i], unmatched)
+        unmatched += n - x[i] - alpha[i]
+    return tuple(alpha)
+
+
+def bracket_top(alpha, n):
+    """Top of the chain of the start `alpha` in Greene and Kleitman's
+    bracketing: write the bracket word of `alpha` as `bracket_locate` reads
+    it, match it with a stack, and turn every unmatched opening bracket
+    into a closing one."""
+    top = list(alpha)
+    opens = []  # the row of each opening bracket still unmatched
+    for i in range(len(alpha) - 1, -1, -1):
+        del opens[max(0, len(opens) - alpha[i]) :]
+        opens += [i] * (n - alpha[i])
+    for i in opens:
+        top[i] += 1
+    return tuple(top)
+
+
 @pytest.fixture(params=SMALL_SHAPES, ids=lambda mn: f"{mn[0]}x{mn[1]}")
 def small_shape(request):
     m, n = request.param

@@ -14,22 +14,19 @@ from scdposet import (
     GridShape,
     StartVector,
     ChainTableau,
-    alpha_end_from_tableau,
     chain_contains,
     chain_elements,
-    chain_length_histogram,
     cli,
     decompose,
     level_sizes,
     locate_parts,
     psi,
-    rotate_180,
-    star,
-    strip_sources,
     verify,
 )
+from scdposet.core import star
+from scdposet.decompose import chain_length_histogram
 from scdposet.starts import alpha_end_parts, iter_start_parts
-from scdposet.tableau import greedy_counts
+from scdposet.tableau import alpha_end_from_tableau, greedy_counts, rotate_180, strip_sources
 
 from conftest import brute_is_start, literal_grid
 

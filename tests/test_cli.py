@@ -13,7 +13,8 @@ import pytest
 
 import scdposet
 import scdposet.starts
-from scdposet import GridShape, StartVector, chain_elements, cli, decompose, format_parts
+from scdposet import GridShape, StartVector, chain_elements, cli, decompose
+from scdposet.core import format_parts
 from scdposet.decompose import CheckResult, VerificationReport
 from scdposet.starts import iter_start_parts
 

@@ -7,18 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import scdposet
-from scdposet import (
-    Composition,
-    GridShape,
+from scdposet import Composition, GridShape, rank
+from scdposet.core import (
+    Record,
     ShapeMismatchError,
     covers,
     format_parts,
     leq,
     parse_parts,
-    rank,
     star,
 )
-from scdposet.core import Record
 
 from conftest import all_parts
 

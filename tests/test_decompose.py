@@ -15,13 +15,11 @@ from scdposet import (
     Composition,
     GridShape,
     StartVector,
-    chain_length_histogram,
-    check_partition,
     decompose,
     level_sizes,
     verify,
 )
-from scdposet.decompose import middle_level_size
+from scdposet.decompose import chain_length_histogram, check_partition, middle_level_size
 
 from conftest import (
     all_parts,

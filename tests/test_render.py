@@ -12,11 +12,11 @@ from scdposet import (
     parse_ascii,
     render_ascii,
     render_svg,
-    strip_sources,
     tableau_payload,
 )
 from scdposet.core import Composition
 from scdposet.starts import iter_start_parts
+from scdposet.tableau import strip_sources
 
 
 class TestRenderAscii:

@@ -12,23 +12,25 @@ from scdposet import (
     Forbidden,
     GridShape,
     StartVector,
-    TableauConstructionError,
-    alpha_end_from_tableau,
     build_tableau,
     chain_contains,
     chain_elements,
-    covers,
     decompose,
     element_at,
     locate,
     psi,
-    rotate_180,
-    star,
-    strip_sources,
 )
 from scdposet import cli, tableau
+from scdposet.core import covers, star
 from scdposet.starts import alpha_end_parts, iter_start_parts
-from scdposet.tableau import fill_walk, greedy_counts
+from scdposet.tableau import (
+    TableauConstructionError,
+    alpha_end_from_tableau,
+    fill_walk,
+    greedy_counts,
+    rotate_180,
+    strip_sources,
+)
 
 from conftest import SMALL_SHAPES, literal_grid
 
