@@ -10,12 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .core import Composition, GridShape, parse_parts
 from .decompose import DEFAULT_CAP, MAX_STATS_WORK, SAMPLE_STARTS, level_sizes, verify
 from .locate import certificate
 from .render import MAX_RENDER_CELLS, render_ascii, render_svg, tableau_payload
-from .starts import StartVector, iter_start_parts, psi
+from .starts import StartVector, iter_start_parts, psi, start_end
 from .tableau import build_tableau, fill_walk
 
 
@@ -74,7 +75,9 @@ def _build_parser() -> _Parser:
 # text is never held whole next to its element strings.
 _CHUNK = 4096
 
-_HEAD = '{"m":%d,"n":%d,"alpha":[%s],"alpha_end":[%s],"start":[%s],"end":[%s],"elements":[[%s'
+# A chain line up to its first element; `_chain_writer` fills in m and n
+# once per shape, leaving one `%s` per field for each chain.
+_HEAD = '{"m":%d,"n":%d,"alpha":[%%s],"alpha_end":[%%s],"start":[%%s],"end":[%%s],"elements":[[%%s'
 
 
 class _PartStrings:
@@ -87,17 +90,34 @@ class _PartStrings:
         return map(str, range(key.start, key.stop)) if key.__class__ is slice else str(key)
 
 
-def _write_chain(sv: StartVector, table: list[str] | _PartStrings) -> None:
-    """Write the chain of `sv` as one JSON line, byte-identical to the compact
-    `json` encoding, from `table`, the text of each part value."""
-    els = fill_walk(sv, table, ",".join)
-    end = ",".join([table[e] for e in sv.end])
-    line = _HEAD % (sv.shape.m, sv.shape.n, els[0], end, els[0], els[-1], "],[".join(els[:_CHUNK]))
+def _chain_writer(m: int, n: int, table: list[str] | _PartStrings) -> Callable[[tuple, tuple], None]:
+    """A writer of chain lines for the m-by-n grid: `write_chain(parts, end)`
+    writes the chain of the start `parts`, whose end vector `end` is
+    certified by `start_end`, as one JSON line, byte-identical to the
+    compact `json` encoding, from `table`, the text of each part value.
+
+    The line template, with m and n in it, and stdout's `write` are bound
+    once, here; per chain there is the walk, one `%` and one `write`, and
+    no value object."""
+    head = _HEAD % (m, n)
+    line = head + "]]}\n"
     write = sys.stdout.write
-    for i in range(_CHUNK, len(els), _CHUNK):
-        write(line)
-        line = "],[" + "],[".join(els[i : i + _CHUNK])
-    write(line + "]]}\n")
+    join = ",".join
+
+    def write_chain(parts: tuple[int, ...], end: tuple[int, ...]) -> None:
+        els = fill_walk(parts, end, n, table, join)
+        first, last = els[0], els[-1]
+        end_text = join([table[e] for e in end])
+        if len(els) <= _CHUNK:
+            write(line % (first, end_text, first, last, "],[".join(els)))
+            return
+        text = head % (first, end_text, first, last, "],[".join(els[:_CHUNK]))
+        for i in range(_CHUNK, len(els), _CHUNK):
+            write(text)
+            text = "],[" + "],[".join(els[i : i + _CHUNK])
+        write(text + "]]}\n")
+
+    return write_chain
 
 
 # json.dumps would build this encoder on every call.
@@ -111,7 +131,8 @@ def _emit(obj) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "chain":
-        _write_chain(StartVector.of(parse_parts(args.alpha), args.n), _PartStrings())
+        sv = StartVector.of(parse_parts(args.alpha), args.n)
+        _chain_writer(sv.shape.m, sv.shape.n, _PartStrings())(sv.parts, sv.end)
         return 0
 
     if args.command == "starts":
@@ -124,9 +145,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "decompose":
         shape = GridShape(args.m, args.n)
-        table = [str(p) for p in range(shape.n + 1)]
+        n = shape.n
+        write_chain = _chain_writer(shape.m, n, [str(p) for p in range(n + 1)])
         for parts in iter_start_parts(shape):
-            _write_chain(StartVector(Composition._derived(shape, parts)), table)
+            write_chain(parts, start_end(parts, n))
         return 0
 
     if args.command == "locate":

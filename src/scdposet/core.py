@@ -22,9 +22,9 @@ checks can be wrapped on the class.
 sets the fields unchecked.  Its one rule: the parts are `int`s the package
 derived from validated values and provably lie in [0, n], as do the start
 `locate` returns, the element `element_at` returns and the odometer's
-starts (each start is still certified by `StartVector`).  Outside input and
-psi images, whose check certifies the end-vector formula, always go
-through the constructor.
+starts (each start is still certified by `starts.start_end`).  Outside
+input and psi images, whose check certifies the end-vector formula, always
+go through the constructor.
 """
 
 from __future__ import annotations

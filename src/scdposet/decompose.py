@@ -18,7 +18,7 @@ import random
 import time
 from itertools import accumulate, islice, repeat
 from math import comb
-from operator import le, ne
+from operator import eq, le, ne
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, Frozen, GridShape, Record, _set
@@ -357,9 +357,22 @@ def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
 
 def _check_saturated(v: _StartValue) -> dict | None:
     """Consecutive probed elements differ by one unit vector; passes at a
-    partner (see `verify`)."""
+    partner (see `verify`).
+
+    In full mode the whole chain is read in one pass of C-level iterators:
+    its ranks against a `range` of consecutive ranks, and each pair of
+    neighbours componentwise.  The positions are walked pair by pair, as
+    sampled mode walks its probes, only after a mismatch, for the first
+    one."""
     if v.partner:
         return None
+    els = v.elements
+    if els is not None:
+        low = sum(els[0])
+        if all(map(eq, map(sum, els), range(low, low + len(els)))) and all(
+            map(all, map(map, repeat(le), els, els[1:]))
+        ):
+            return None
     for j in v.positions[:-1]:
         a, b = v.at(j), v.at(j + 1)
         if sum(b) - sum(a) != 1 or not all(map(le, a, b)):

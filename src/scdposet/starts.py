@@ -11,13 +11,15 @@ Each start vector indexes exactly one chain of the decomposition.  This
 module enumerates the whole set in lexicographic order without scanning the
 full grid poset, computes the per-row forbidden-cell counts ("end vector")
 in one O(m) forward scan over the blocks between splitting rows, and
-implements the induced involution psi.  Membership is decided by
-constructing a `StartVector`: the last part and the rank bound are compared
+implements the induced involution psi.  Membership is decided by one
+function, `start_end`: the last part and the rank bound are compared
 directly, and the suffix inequalities hold exactly when the end-vector scan
-closes its last block, so certifying a start is that one scan.  A
-`StartVector` is certified once and carries its end vector as `.end`,
-computed on construction; everything that reads the end vector of a
-certified start reads that field.
+closes its last block, so certifying a start is that one scan, and its
+result is the end vector.  A `StartVector` is certified once, by
+`start_end` on construction, and carries the end vector as `.end`;
+everything that reads the end vector of a certified start reads that field.
+The CLI's `decompose` certifies each odometer start by `start_end` alone
+and builds no value per chain.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ class StartVector(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        parts, n = self.alpha.parts, self.alpha.shape.n
-        # The rank bound is implied by the t=1 suffix inequality, which the
-        # block scan decides; comparing it apart cross-checks the scan.
-        if parts[-1] != 0 or 2 * sum(parts) > len(parts) * n:
-            raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
-        _set(self, "end", alpha_end_parts(parts, n))
+        _set(self, "end", start_end(self.alpha.parts, self.alpha.shape.n))
 
     @classmethod
     def of(cls, parts, n: int) -> "StartVector":
@@ -65,6 +62,20 @@ class StartVector(Frozen):
     @property
     def parts(self) -> tuple[int, ...]:
         return self.alpha.parts
+
+
+def start_end(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Certify `parts` as a start vector for `n` and return its end vector.
+
+    The one membership test: raises NotStartVectorError unless `parts` ends
+    in 0, keeps the rank bound and passes the block scan of
+    `alpha_end_parts`, whose result is returned.
+    """
+    # The rank bound is implied by the t=1 suffix inequality, which the
+    # block scan decides; comparing it apart cross-checks the scan.
+    if parts[-1] != 0 or 2 * sum(parts) > len(parts) * n:
+        raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
+    return alpha_end_parts(parts, n)
 
 
 def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:

@@ -14,18 +14,21 @@ a saturated chain in the grid poset from alpha up to its complement-symmetric
 end point.  Those chains, over all start vectors, partition the poset.
 
 Row i holds n - alpha[i] - e[i] fillable cells, where e is the end vector
-(`StartVector.end`, the closed form for the forbidden counts, computed once
-when the start is certified), so chains are built from e alone and never
-color a grid.  One walk over e (`fill_walk`) builds every chain from a
-table indexed by part value, so each row's run of fills is one slice of
-it: the values 0..n give parts tuples for `chain_elements`, and the n + 1
-part strings, made once per shape, give the CLI's `decompose` its JSON
-array text.  Every row is a fixed prefix, one free run and a forbidden
-suffix, so the greedy rule of pass 2 runs on per-row counts alone
-(`greedy_counts`, O(m)).  Those counts are its one implementation:
-verify's cross-checks against the closed form read them, and
-`build_tableau` colors the grid for rendering from them, row by row.  The
-cell-by-cell greedy simulation lives in the tests, as their oracle.
+(the closed form for the forbidden counts, which `starts.start_end`
+returns when it certifies the start), so chains are built from e alone and
+never color a grid.  One walk over the parts and e (`fill_walk`) builds
+every chain from a table indexed by part value, so each row's run of fills
+is one slice of it: the values 0..n give parts tuples for
+`chain_elements`, which reads the parts and `.end` of a `StartVector`, and
+the n + 1 part strings, made once per shape, give the CLI's `decompose`
+its JSON array text straight from each odometer tuple and its certified
+end vector, with no value object per chain.  Every row is a fixed
+prefix, one free run and a forbidden suffix, so the greedy rule of pass 2
+runs on per-row counts alone (`greedy_counts`, O(m)).  Those counts are
+its one implementation: verify's cross-checks against the closed form
+read them, and `build_tableau` colors the grid for rendering from them,
+row by row.  The cell-by-cell greedy simulation lives in the tests, as
+their oracle.
 """
 
 from __future__ import annotations
@@ -175,19 +178,19 @@ class Chain(Frozen):
         return len(self.elements)
 
 
-def fill_walk(alpha: StartVector, table: Sequence, make: Callable) -> list:
-    """`make(cur)` for each element of the chain of `alpha`, in increasing rank.
+def fill_walk(parts: tuple[int, ...], end: tuple[int, ...], n: int, table: Sequence, make: Callable) -> list:
+    """`make(cur)` for each element of the chain of the start `parts`, in
+    increasing rank.
 
-    `table[p]` is the cell of part value p, for p in 0..n, and a slice of
-    `table` gives the cells of consecutive values: the values 0..n walk
-    parts, a list of the n + 1 part strings walks JSON text.  `cur` starts
-    as `table[p]` for each part p of alpha; in fill order, bottom row first,
-    row i then takes the slice `table[alpha[i] + 1 : n - e[i] + 1]`, so a
-    row run is one slice and no cell is made per element.
+    `end` is the end vector e of `parts` as `starts.start_end` certified
+    it; the walk trusts it and checks nothing.  `table[p]` is the cell of
+    part value p, for p in 0..n, and a slice of `table` gives the cells of
+    consecutive values: the values 0..n walk parts, a list of the n + 1
+    part strings walks JSON text.  `cur` starts as `table[p]` for each part
+    p; in fill order, bottom row first, row i then takes the slice
+    `table[parts[i] + 1 : n - e[i] + 1]`, so a row run is one slice and no
+    cell is made per element.
     """
-    parts = alpha.parts
-    n = alpha.shape.n
-    end = alpha.end
     cur = [*map(table.__getitem__, parts)]
     out = [make(cur)]
     for i in range(len(parts) - 1, -1, -1):
@@ -214,7 +217,7 @@ def chain_elements(alpha: StartVector) -> Chain:
     n = alpha.shape.n
     # the chain has m*n - 2*sum(parts) + 1 elements
     table = _part_values(n) if (len(parts) - 1) * n >= 2 * sum(parts) else range(n + 1)
-    return Chain(alpha, tuple(fill_walk(alpha, table, tuple)))
+    return Chain(alpha, tuple(fill_walk(parts, alpha.end, n, table, tuple)))
 
 
 def element_at(alpha: StartVector, j: int) -> Composition:

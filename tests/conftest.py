@@ -92,9 +92,9 @@ def walk_editing_keyed_chain(edit):
     keyed start's chain."""
 
     def make(original):
-        def walk(alpha, table, make_element):
-            out = original(alpha, table, make_element)
-            if is_keyed_start(alpha.parts):
+        def walk(parts, end, n, table, make_element):
+            out = original(parts, end, n, table, make_element)
+            if is_keyed_start(parts):
                 edit(out)
             return out
 

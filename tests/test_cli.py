@@ -13,12 +13,20 @@ import pytest
 
 import scdposet
 import scdposet.starts
-from scdposet import GridShape, StartVector, chain_elements, cli, decompose
+from scdposet import Composition, GridShape, StartVector, chain_elements, cli, decompose
 from scdposet.core import format_parts
 from scdposet.decompose import CheckResult, VerificationReport
 from scdposet.starts import iter_start_parts
 
-from conftest import SMALL_SHAPES, dbtk_chains, literal_end_vector, shift_one_forbidden_cell
+from conftest import (
+    FAULTS,
+    SMALL_SHAPES,
+    dbtk_chains,
+    literal_end_vector,
+    plant,
+    record_checks,
+    shift_one_forbidden_cell,
+)
 
 
 def run(capsys, *argv):
@@ -182,6 +190,39 @@ class TestChainLineBytes:
         code, out, _ = run(capsys, "starts", "-m", str(m), "-n", str(n))
         assert code == 0
         assert out == "".join(format_parts(parts) + "\n" for parts in iter_start_parts(GridShape(m, n)))
+
+
+class TestDecomposeWritesFromPartsAndEnd:
+    """`decompose` writes each chain from its odometer tuple and the end
+    vector `start_end` certifies, through the one `fill_walk`, and builds
+    no value object per chain."""
+
+    def test_one_end_scan_and_no_value_per_chain(self, capsys, monkeypatch):
+        checked = record_checks(monkeypatch, StartVector, Composition)
+        scanned = []
+
+        def counting(original):
+            def scan(parts, n):
+                scanned.append(parts)
+                return original(parts, n)
+
+            return scan
+
+        plant(monkeypatch, "starts", "alpha_end_parts", counting)
+        code, out, _ = run(capsys, "decompose", "-m", "4", "-n", "4")
+        assert code == 0
+        assert checked == {StartVector: [], Composition: []}
+        assert len(scanned) == 85
+        assert scanned == [tuple(json.loads(line)["alpha"]) for line in out.splitlines()]
+        assert out == "".join(map(json_line, decompose(GridShape(4, 4))))
+
+    def test_a_planted_walk_fault_reaches_the_output(self, capsys, monkeypatch):
+        _, honest, _ = run(capsys, "decompose", "-m", "4", "-n", "4")
+        plant(monkeypatch, *FAULTS["fill_walk skipping one element"])
+        code, faulty, _ = run(capsys, "decompose", "-m", "4", "-n", "4")
+        assert code == 0
+        changed = [line for line, was in zip(faulty.splitlines(), honest.splitlines()) if line != was]
+        assert [json.loads(line)["alpha"] for line in changed] == [[1, 0, 0, 0]]
 
 
 class TestDecomposeLinesAgainstOracles:

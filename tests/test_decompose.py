@@ -448,6 +448,46 @@ def mutations(chains, rng):
         yield "drop two", edited({a: ea[:ja] + ea[ja + 1 :], b: eb[:jb] + eb[jb + 1 :]})
 
 
+def first_unsaturated_step(elements):
+    """The first neighbours of `elements` that are no cover step, pair by pair."""
+    for a, b in zip(elements, elements[1:]):
+        if sum(b) != sum(a) + 1 or any(x > y for x, y in zip(a, b)):
+            return a, b
+    return None
+
+
+class TestSaturatedCheck:
+    """Full mode reads the whole chain in one pass; the counterexample is
+    still the first pair that is no cover step."""
+
+    SV = StartVector.of((0, 0, 0, 0), 4)
+
+    @staticmethod
+    def sideways(els, j):
+        # keeps every rank step at one, but element j+1 is not above element j
+        els[j] = (1, *els[j - 1][1:])
+
+    @pytest.mark.parametrize(
+        "edits",
+        [[], [("sideways", 2)], [("gap", 6)], [("sideways", 9), ("gap", 4)], [("gap", 3), ("sideways", 10)]],
+        ids=["intact", "sideways", "gap", "gap-first", "gap-then-sideways"],
+    )
+    def test_counterexample_is_the_first_bad_step(self, edits):
+        module = importlib.import_module("scdposet.decompose")
+        els = list(scdposet.tableau.chain_elements(self.SV).elements)
+        for kind, j in edits:
+            if kind == "gap":
+                del els[j]
+            else:
+                self.sideways(els, j)
+        els = tuple(els)
+        bad = first_unsaturated_step(els)
+        assert (bad is None) == (not edits)
+        found = module._check_saturated(module._StartValue(self.SV, els))
+        expected = None if bad is None else {"alpha": [0, 0, 0, 0], "low": list(bad[0]), "high": list(bad[1])}
+        assert found == expected
+
+
 class TestPartitionOracle:
     @pytest.mark.parametrize(
         "extra",

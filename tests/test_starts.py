@@ -20,7 +20,7 @@ from scdposet import (
     render_ascii,
     verify,
 )
-from scdposet.starts import alpha_end_parts, iter_start_parts
+from scdposet.starts import alpha_end_parts, iter_start_parts, start_end
 
 from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_splitting_rows
 
@@ -79,7 +79,7 @@ class TestIsStart:
         assert not accepts((0, 0, 1), 4)
 
     def test_rank_bound_implied_by_suffix_inequalities(self, small_shape):
-        # the explicit rank check in StartVector is redundancy by design: the
+        # the explicit rank check in start_end is redundancy by design: the
         # t=1 suffix inequality already forces rank <= floor(m*n/2)
         m, n = small_shape.m, small_shape.n
         for parts in all_parts(m, n):
@@ -106,6 +106,20 @@ class TestIsStart:
             assert accepts(parts, n) == expected, (parts, n)
             refused += not expected and 2 * sum(parts) <= len(parts) * n
         assert refused >= 50  # refusals left to the suffix inequalities alone
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES)
+    def test_start_end_is_the_one_certification(self, m, n):
+        # `start_end` refuses exactly the brute-force rejects, with the one
+        # message, and where it accepts it returns the end vector that
+        # `StartVector` certifies through it
+        for parts in all_parts(m, n):
+            if brute_is_start(parts, n):
+                c = Composition(GridShape(m, n), parts)
+                assert StartVector(c).end == start_end(c.parts, n), parts
+            else:
+                with pytest.raises(NotStartVectorError) as raised:
+                    start_end(parts, n)
+                assert str(raised.value) == f"{parts} is not a start vector for n={n}"
 
     def test_start_vector_construction_guard(self):
         with pytest.raises(NotStartVectorError):

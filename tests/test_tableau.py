@@ -220,11 +220,11 @@ class TestFillWalk:
 
     @staticmethod
     def walks(sv):
-        n = sv.shape.n
-        tuples = fill_walk(sv, range(n + 1), tuple)
-        assert fill_walk(sv, list(range(n + 1)), tuple) == tuples
-        text = fill_walk(sv, [str(p) for p in range(n + 1)], ",".join)
-        assert fill_walk(sv, cli._PartStrings(), ",".join) == text
+        parts, end, n = sv.parts, sv.end, sv.shape.n
+        tuples = fill_walk(parts, end, n, range(n + 1), tuple)
+        assert fill_walk(parts, end, n, list(range(n + 1)), tuple) == tuples
+        text = fill_walk(parts, end, n, [str(p) for p in range(n + 1)], ",".join)
+        assert fill_walk(parts, end, n, cli._PartStrings(), ",".join) == text
         assert text == [",".join(map(str, el)) for el in tuples]
         return tuples
 
