@@ -2,8 +2,8 @@
 
 `decompose` streams every chain of the grid without ever materializing the
 poset.  `verify` checks the decomposition's defining properties end to end,
-against an exhaustive membership oracle when the poset is small enough, and
-against deterministic samples otherwise.  Every check runs in one
+exhaustively with a partition oracle when the poset fits its cap, and on
+deterministic samples otherwise.  Every check runs in one
 streaming pass, in one process: within the cap over the chains `decompose`
 emits, past it over the first starts of one enumeration, which then goes
 on to count the middle rank.  Each chain and its start's greedy row counts
@@ -30,6 +30,11 @@ from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_c
 # The partition oracle's claim table costs 4 bytes per composition, 4 MB at
 # this cap; past it the oracle is refused and the other checks are sampled.
 DEFAULT_CAP = 1_000_000
+
+# The largest cap `verify` accepts: a 400 MB claim table, about 17 minutes
+# of checking at 100k elements/s.  It keeps every start index, which the
+# table stores plus 1 in an unsigned 4-byte slot, below 2**32 - 1.
+MAX_CAP = 100_000_000
 
 # Sampled-mode budgets: how many starts to sample, and how many chain
 # positions to probe per sampled chain.
@@ -303,8 +308,8 @@ class _StartValue:
     involution, and every position is probed; sampled mode leaves `elements`
     None and probes a bounded set of positions by O(m) random access.
 
-    `partner` marks the larger start of a psi pair that full mode skips
-    (see `verify`); a partner's greedy counts are not built.
+    `partner` marks the larger start of a psi pair, whose settled checks
+    the pass skips (see `verify`); a partner's greedy counts are not built.
     """
 
     __slots__ = ("sv", "elements", "at", "positions", "partner", "greedy")
@@ -314,34 +319,30 @@ class _StartValue:
     ) -> None:
         self.sv = sv
         self.elements = elements
-        self.at, self.positions = _probe(sv, elements)
+        if elements is None:
+            self.at = lambda j: element_at(sv, j).parts
+            self.positions: Sequence[int] = _positions(sv.shape.top_rank - 2 * sum(sv.parts))
+        else:
+            self.at = elements.__getitem__
+            self.positions = range(len(elements))
         self.partner = partner
         self.greedy = None if partner else greedy_counts(sv.parts, sv.shape.n)
 
 
-def _probe(sv: StartVector, elements: tuple[tuple[int, ...], ...] | None) -> tuple[Callable, Sequence[int]]:
-    """Element accessor and probe positions for the chain of `sv`: every
-    position of `elements` when given, else a bounded set by random access."""
-    if elements is not None:
-        return elements.__getitem__, range(len(elements))
-    positions = _positions(sv.shape.top_rank - 2 * sum(sv.parts))
-    return (lambda j: element_at(sv, j).parts), positions
-
-
-def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
+def _check_symmetric(v: _StartValue) -> dict | None:
     """The chain ends at the complementary rank, on an element no upper cover of
     which stays on the chain.  Membership is decided by `locate_parts`, which
     does not use the end-vector formula the chain is built from.
 
-    With `covers` False the upper covers are not located (see `verify` for
-    why full mode with the oracle may skip them); the end locate and the
-    rank test still run."""
+    The upper covers are located in sampled mode only (see `verify` for
+    why full mode skips them); the end locate and the rank test always
+    run."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
     if located != parts:
         return {"alpha": list(parts), "end": list(end), "located": list(located)}
-    if covers:
+    if v.elements is None:
         up = list(end)  # each upper cover in turn, one part raised in place
         for i, p in enumerate(end):
             if p < n:
@@ -356,16 +357,13 @@ def _check_symmetric(v: _StartValue, covers: bool = True) -> dict | None:
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
-    """Consecutive probed elements differ by one unit vector; passes at a
-    partner (see `verify`).
+    """Consecutive probed elements differ by one unit vector.
 
     In full mode the whole chain is read in one pass of C-level iterators:
     its ranks against a `range` of consecutive ranks, and each pair of
     neighbours componentwise.  The positions are walked pair by pair, as
     sampled mode walks its probes, only after a mismatch, for the first
     one."""
-    if v.partner:
-        return None
     els = v.elements
     if els is not None:
         low = sum(els[0])
@@ -397,15 +395,13 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     greedy end vectors of alpha and psi(alpha).  An image outside the
     starting set is a counterexample, not an error.
 
-    Given `partners` (full mode), a pass sets the bit of the image's
-    `_slot`, and the check passes at a partner (see `verify`).
+    Given `partners` (full mode), a passing check sets the bit of the
+    image's `_slot` (see `verify`).
 
     In full mode the image chain compares with the reversed star of this
     chain in one pass of C-level iterators; the positions are walked, as
     sampled mode walks its probes, only after a mismatch, for the first
     one."""
-    if v.partner:
-        return None
     parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
@@ -418,17 +414,16 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     iparts = image.parts
     if again.parts != parts:
         return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
-    if iparts[::-1] != v.greedy or greedy_counts(iparts, n)[::-1] != parts:
-        return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
     elements = v.elements
-    image_elements = elements if elements is None or iparts == parts else chain_elements(image).elements
-    image_at, image_positions = _probe(image, image_elements)
-    if image_positions != v.positions:
+    mirror = _StartValue(image, elements if elements is None or iparts == parts else chain_elements(image).elements)
+    if iparts[::-1] != v.greedy or mirror.greedy[::-1] != parts:
+        return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
+    if mirror.positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
     last = v.positions[-1]
-    if elements is None or any(map(ne, image_elements, _reversed_star(elements, n))):
+    if elements is None or any(map(ne, mirror.elements, _reversed_star(elements, n))):
         for j in v.positions:
-            if image_at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
+            if mirror.at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
                 return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     if partners is not None and iparts != parts:
         k = _slot(iparts, len(iparts), n)
@@ -443,10 +438,7 @@ def _reversed_star(elements: Sequence[tuple[int, ...]], n: int) -> Iterator[tupl
 
 
 def _check_corollary(v: _StartValue) -> dict | None:
-    """The end-vector formula equals the greedy simulation; passes at a
-    partner (see `verify`)."""
-    if v.partner:
-        return None
+    """The end-vector formula equals the greedy simulation."""
     if v.sv.end != v.greedy:
         return {"alpha": list(v.sv.parts), "formula": list(v.sv.end), "simulation": list(v.greedy)}
     return None
@@ -462,6 +454,10 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
     "corollary-vs-simulation": _check_corollary,
 }
 
+# The checks the pass skips at a partner: `involution` at its pair's smaller
+# start has settled them (see `verify`).
+_SETTLED_BY_PAIR = frozenset({"saturated", "involution", "corollary-vs-simulation"})
+
 
 def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
     """Locate `count` seeded random compositions and probe membership via
@@ -476,62 +472,60 @@ def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
     return None
 
 
-def verify(
-    shape: GridShape,
-    use_oracle: bool = True,
-    *,
-    cap: int = DEFAULT_CAP,
-    sample: int = SAMPLE_STARTS,
-) -> VerificationReport:
+def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STARTS) -> VerificationReport:
     """Run the full verification battery and collect a report.
 
-    Oracle (exhaustive partition) mode requires the poset size (n+1)**m to
-    stay within `cap`; past the cap it is refused with a message and the
-    remaining checks fall back to deterministic sampling.  A `sample` below
-    1 is refused, since sampled checks over no chains would pass
-    unexamined, and so is a `cap` below 0.
+    `verify` runs in one of two modes, chosen by the poset size (n+1)**m.
+    Within `cap` it runs in full mode: every chain is checked whole, and the
+    partition oracle claims each element in a table of 4 bytes per
+    composition.  Past `cap` it runs in sampled mode: the oracle is refused
+    with a message, and the other checks run on the chains of the first
+    `sample` starts in lexicographic order.  A `sample` below 1 is refused,
+    since sampled checks over no chains would pass unexamined, and so is a
+    `cap` below 0 or above `MAX_CAP`, before anything is allocated.
 
-    Every check runs in one streaming pass over the starts.  Within the cap
+    Every check runs in one streaming pass over the starts.  In full mode
     the pass reads the chains of `decompose`, each built once, claims each
-    one in the partition table with the oracle, and counts every start.
-    Past it the pass reads the first `sample` starts, and when the middle
-    rank fits the cap the same enumeration goes on counting, up to the
-    middle rank size + 1.  A check stops at its first counterexample in
-    start order, but the pass reads the whole stream.  Each start's value
-    is charged to the first check still running, so the checks' seconds
-    add up to the wall time of the pass.  A finish step runs after the
-    stream for a check still passing: the partition's sweep for a slot left
-    unclaimed, and the sampled random round trips of `disjoint`.  Reports
-    from repeated runs are identical apart from timings.
+    in the partition table, and counts every start.  In sampled mode it
+    reads the first `sample` starts, and when the middle rank fits the cap
+    the same enumeration goes on counting, up to the middle rank size + 1.
+    A check stops at its first counterexample in start order, but the pass
+    reads the whole stream.  Each start's value is charged to the first
+    check still running, so the checks' seconds add up to the wall time of
+    the pass.  A finish step runs after the stream for a check still
+    passing: the partition's sweep for a slot left unclaimed, and
+    `disjoint`'s `sample` seeded random round trips through `locate` and
+    `chain_contains`.  Reports from repeated runs are identical apart from
+    timings.
 
     Full mode skips only work whose verdict another check of the same pass
     has already decided, and every check stays in the report.  Sampled mode
     skips nothing: it runs every check at every sampled start.
-      * With the oracle, `symmetric` does not locate the upper covers of a
-        chain's end.  `partition` shows that every composition, each upper
-        cover included, lies on some chain, and `disjoint` locates every
-        element to its own chain's start; an upper cover of the end lies
-        above every element of the (saturated) chain, so it cannot locate
-        to its start.  Without the oracle `symmetric` locates every upper
-        cover.
+      * `symmetric` does not locate the upper covers of a chain's end.
+        `partition` shows that every composition, each upper cover
+        included, lies on some chain, and `disjoint` locates every element
+        to its own chain's start; an upper cover of the end lies above
+        every element of the (saturated) chain, so it cannot locate to its
+        start.
       * Each psi pair is checked once, at its lexicographically smaller
         start alpha, which the pass reaches first.  Every identity of
         `involution` is symmetric in alpha and beta = psi(alpha) once
         psi(beta) = alpha, so at alpha it applies psi to beta too, compares
         both greedy end vectors and both chains, and on passing sets the
         bit of beta's `_slot` in a `partners` table.  The pass marks beta's
-        value a partner when it reaches it.  At a partner, `involution`,
-        `saturated` and `corollary-vs-simulation` pass without running and
-        the greedy counts are not built: beta's chain, built by the same
-        `chain_elements`, is the reversed star of alpha's saturated chain,
-        and greedy(beta) = alpha reversed = beta's end vector.  Every other
-        start runs every check; with a true involution that is each smaller
-        or self-paired start.
+        value a partner when it reaches it, builds no greedy counts for it,
+        and skips the checks of `_SETTLED_BY_PAIR` there: beta's chain,
+        built by the same `chain_elements`, is the reversed star of alpha's
+        saturated chain, and greedy(beta) = alpha reversed = beta's end
+        vector.  Every other start runs every check; with a true involution
+        that is each smaller or self-paired start.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
+    if cap > MAX_CAP:
+        raise ValueError(f"cap {cap} exceeds the limit of {MAX_CAP}")
     clock = time.perf_counter
     poset_size = shape.size
     full = poset_size <= cap
@@ -541,18 +535,12 @@ def verify(
     seconds = dict.fromkeys(["partition", *checks, "middle-rank-count"], 0.0)
     # finish steps, each with the note it adds to its check's message
     finish: dict[str, tuple[Callable[[], dict | None], str]] = {}
-    if not use_oracle:
-        skipped["partition"] = "oracle disabled by caller"
-    elif not full:
-        skipped["partition"] = f"poset size {poset_size} exceeds cap {cap}; oracle mode refused"
-    else:
+    if full:
         t0 = clock()
         claims = _ClaimTable(shape)
         checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
-        checks["symmetric"] = lambda v: _check_symmetric(v, covers=False)
         finish["partition"] = claims.missing, ""
         seconds["partition"] = clock() - t0
-    if full:
         # one bit per composition, set at the slot of each larger start of
         # a checked pair until the pass reaches it: poset_size / 8 bytes,
         # less than a set of the slots of the pairs still open
@@ -570,9 +558,10 @@ def verify(
         starts: Iterable = ()  # the pass counts every start of `decompose`
         values = map(full_value, decompose(shape))
     else:
+        skipped["partition"] = f"poset size {poset_size} exceeds cap {cap}; oracle mode refused"
         starts = iter_start_parts(shape)
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
-        finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), f"; {sample} random round trips"
+    finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), "" if full else f"; {sample} random round trips"
 
     running = list(checks.items())
     count = 0
@@ -580,6 +569,8 @@ def verify(
     for value in values:
         count += 1
         for name, check in running:
+            if value.partner and name in _SETTLED_BY_PAIR:
+                continue
             bad = check(value)
             t1 = clock()
             seconds[name] += t1 - t0

@@ -93,7 +93,7 @@ def test_criterion_3_golden_locate(capsys):
 def test_criterion_4_oracle_verification():
     t0 = time.perf_counter()
     for m, n in SHAPES:
-        report = verify(GridShape(m, n), use_oracle=True)
+        report = verify(GridShape(m, n))
         for name in ("partition", "symmetric", "saturated", "disjoint"):
             check = report.check(name)
             assert check.passed and not check.skipped, (m, n, name, check.counterexample)

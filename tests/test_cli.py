@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -326,12 +327,16 @@ class TestVerifyCommand:
         names = {c["name"]: c for c in payload["checks"]}
         assert names["partition"]["passed"] and not names["partition"]["skipped"]
 
-    def test_without_oracle_flag_partition_skipped(self, capsys):
-        code, out, _ = run(capsys, "verify", "-m", "2", "-n", "2")
+    def test_without_oracle_flag_partition_runs(self, capsys):
+        # --oracle is accepted and changes nothing: within the cap the
+        # partition oracle always runs
+        code, out, _ = run(capsys, "verify", "-m", "4", "-n", "4")
         assert code == 0
-        payload = json.loads(out)
-        names = {c["name"]: c for c in payload["checks"]}
-        assert names["partition"]["skipped"]
+        code, with_flag, _ = run(capsys, "verify", "-m", "4", "-n", "4", "--oracle")
+        assert code == 0
+        assert self._without_seconds(out) == self._without_seconds(with_flag)
+        names = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert names["partition"]["passed"] and not names["partition"]["skipped"]
 
     def test_failing_report_exits_2(self, capsys, monkeypatch):
         def fake_verify(shape, **kwargs):
@@ -381,6 +386,18 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "0")
         assert code == 0
 
+    def test_cap_above_the_limit_rejected_before_any_table(self, capsys, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+
+        def refuse(shape):
+            raise AssertionError(f"claim table built for {shape}")
+
+        monkeypatch.setattr(module, "_ClaimTable", refuse)
+        code, out, err = run(capsys, "verify", "-m", "10", "-n", "9", "--cap", "100000000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: cap 100000000000 exceeds the limit of 100000000\n"
+
     @staticmethod
     def _without_seconds(out):
         payload = json.loads(out)
@@ -409,7 +426,7 @@ class TestVerifyCommand:
         assert self._without_seconds(out) == {
             "m": 6, "n": 6, "passed": True, "chain_count": None, "element_count": None,
             "checks": [
-                self._check("partition", "oracle disabled by caller", skipped=True),
+                self._check("partition", "poset size 117649 exceeds cap 50; oracle mode refused", skipped=True),
                 self._check("symmetric", sampled),
                 self._check("saturated", sampled),
                 self._check("disjoint", sampled + "; 16 random round trips"),
@@ -428,7 +445,7 @@ class TestVerifyCommand:
         assert self._without_seconds(out) == {
             "m": 4, "n": 4, "passed": True, "chain_count": None, "element_count": None,
             "checks": [
-                self._check("partition", "oracle disabled by caller", skipped=True),
+                self._check("partition", "poset size 625 exceeds cap 100; oracle mode refused", skipped=True),
                 self._check("symmetric", sampled),
                 self._check("saturated", sampled),
                 self._check("disjoint", sampled + "; 8 random round trips"),

@@ -125,7 +125,7 @@ class TestChainLengthHistogram:
 
 class TestVerify:
     def test_3x2_all_checks_pass(self):
-        report = verify(GridShape(3, 2), use_oracle=True)
+        report = verify(GridShape(3, 2))
         assert report.passed
         names = [c.name for c in report.checks]
         assert names == [
@@ -140,14 +140,14 @@ class TestVerify:
         assert not any(c.skipped for c in report.checks)
 
     def test_4x6_all_checks_pass(self):
-        report = verify(GridShape(4, 6), use_oracle=True)
+        report = verify(GridShape(4, 6))
         assert report.passed
 
     def test_small_shapes_pass(self, small_shape):
-        assert verify(small_shape, use_oracle=True).passed
+        assert verify(small_shape).passed
 
     def test_report_is_json_serializable(self):
-        report = verify(GridShape(2, 3), use_oracle=True)
+        report = verify(GridShape(2, 3))
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["passed"] is True
         assert len(payload["checks"]) == 7
@@ -174,7 +174,7 @@ class TestVerify:
         assert result.counterexample["element"] == list(victim.elements[-1])
 
     def test_cap_exceeded_skips_oracle_but_runs_rest(self):
-        report = verify(GridShape(4, 4), use_oracle=True, cap=100)
+        report = verify(GridShape(4, 4), cap=100)
         partition = report.check("partition")
         assert partition.skipped
         assert "exceeds cap" in partition.message
@@ -190,20 +190,42 @@ class TestVerify:
         assert report.check("partition").skipped
         assert report.check("middle-rank-count").skipped
 
-    def test_oracle_disabled(self):
-        report = verify(GridShape(2, 2), use_oracle=False)
-        assert report.check("partition").skipped
+    def test_cap_above_the_limit_refused_before_any_table(self, monkeypatch):
+        # a cap past MAX_CAP would let the claim table take 4 bytes per
+        # composition, 40 GB here, and start indices overflow its slots
+        module = importlib.import_module("scdposet.decompose")
+        assert module.MAX_CAP <= 2**32 - 1
+        report = verify(GridShape(2, 1), cap=module.MAX_CAP)
+        assert report.passed and not report.check("partition").skipped
+
+        def refuse(shape):
+            raise AssertionError(f"claim table built for {shape}")
+
+        monkeypatch.setattr(module, "_ClaimTable", refuse)
+        with pytest.raises(ValueError, match=rf"^cap {10**11} exceeds the limit of {module.MAX_CAP}$"):
+            verify(GridShape(10, 9), cap=10**11)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            verify(GridShape(2, 1), cap=module.MAX_CAP + 1)
+
+    def test_oracle_cannot_be_disabled(self):
+        # within the cap the partition oracle always runs, and verify takes
+        # no positional argument after the shape that could turn it off
+        report = verify(GridShape(2, 2))
+        partition = report.check("partition")
+        assert partition.passed and not partition.skipped and partition.message == ""
         assert report.passed
+        with pytest.raises(TypeError):
+            verify(GridShape(2, 2), False)
 
     def test_middle_count_skipped_past_cap(self):
-        report = verify(GridShape(6, 6), use_oracle=True, cap=50, sample=16)
+        report = verify(GridShape(6, 6), cap=50, sample=16)
         assert report.check("middle-rank-count").skipped
         assert report.passed
 
     def test_sampled_mode_is_deterministic(self):
         shape = GridShape(4, 5)
-        a = verify(shape, use_oracle=True, cap=100, sample=32).to_dict()
-        b = verify(shape, use_oracle=True, cap=100, sample=32).to_dict()
+        a = verify(shape, cap=100, sample=32).to_dict()
+        b = verify(shape, cap=100, sample=32).to_dict()
         for check in a["checks"] + b["checks"]:
             del check["seconds"]
         assert a == b
@@ -214,7 +236,8 @@ class TestVerify:
         # plus the psi image's chain once per pair
         # of distinct starts; no cell grid is coloured, and chain elements
         # stay plain tuples, so the only Compositions are those of the
-        # start, psi(start) and psi(psi(start)).  psi runs twice at each of
+        # start, psi(start) and psi(psi(start)), and the one random input
+        # of each of disjoint's 512 round trips.  psi runs twice at each of
         # the 55 smaller-or-self starts of N(4, 4)'s 30 pairs and 25 fixed
         # points, and not at all at the 30 larger starts
         module = importlib.import_module("scdposet.decompose")
@@ -250,7 +273,7 @@ class TestVerify:
         assert starts == 85
         assert built["chain_elements"] <= starts + (starts + 1) // 2
         assert built["psi"] == 110
-        assert validated["compositions"] <= 3 * starts
+        assert validated["compositions"] <= 3 * starts + module.SAMPLE_STARTS
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
         # the chain still ends at the complementary rank, but not where
@@ -603,8 +626,7 @@ class TestVerifyPass:
             if event == "start":
                 assert log[k + 1] == ("chain", parts)
 
-    @pytest.mark.parametrize("use_oracle", [True, False])
-    def test_pass_reads_every_start_after_every_chain_check_fails(self, monkeypatch, use_oracle):
+    def test_pass_reads_every_start_after_every_chain_check_fails(self, monkeypatch):
         # reversed chains fail saturated, a locate that echoes its input
         # reversed fails symmetric and disjoint, and one extra greedy cell
         # in the first row fails involution and the corollary, all at the
@@ -621,24 +643,23 @@ class TestVerifyPass:
         monkeypatch.setattr(module, "chain_elements", reversed_chain)
         monkeypatch.setattr(module, "locate_parts", lambda c, n: c[::-1])
         monkeypatch.setattr(module, "greedy_counts", lambda parts, n: (1, *greedy_counts(parts, n)[1:]))
-        report = verify(GridShape(4, 4), use_oracle=use_oracle)
+        report = verify(GridShape(4, 4))
         chain_checks = ["symmetric", "saturated", "disjoint", "involution", "corollary-vs-simulation"]
         for name in chain_checks:
             assert report.check(name).counterexample["alpha"] == [0, 0, 0, 0], name
         assert report.chain_count == 85
         assert report.check("middle-rank-count").passed
-        # the pass reads every chain of the stream once, oracle or not
+        # the pass reads every chain of the stream once
         assert len(built) == 85 and set(built.values()) == {1}
-        if use_oracle:
-            assert report.check("partition").passed and not report.check("partition").skipped
-        else:
-            assert report.check("partition").skipped
+        assert report.check("partition").passed and not report.check("partition").skipped
 
-    @pytest.mark.parametrize("use_oracle", [True, False])
-    def test_upper_covers_are_located_only_without_the_oracle(self, monkeypatch, use_oracle):
+    @pytest.mark.parametrize("mode", ["full", "sampled"])
+    def test_upper_covers_are_located_only_in_sampled_mode(self, monkeypatch, mode):
         # disjoint locates every element; symmetric locates every end, and
-        # every upper cover of every end only when no partition oracle
-        # settles them
+        # every upper cover of every end only in sampled mode, where no
+        # partition oracle settles them.  Sampled over all 85 starts of
+        # N(4, 4), every chain is shorter than the probe budget, so every
+        # element is probed
         module = importlib.import_module("scdposet.decompose")
         original = module.locate_parts
         calls = Counter()
@@ -649,41 +670,52 @@ class TestVerifyPass:
 
         monkeypatch.setattr(module, "locate_parts", counting)
         shape = GridShape(4, 4)
-        assert verify(shape, use_oracle=use_oracle).passed
+        report = verify(shape) if mode == "full" else verify(shape, cap=0, sample=85)
+        assert report.passed
         ends = [ch.elements[-1] for ch in decompose(shape)]
         covers = sum(p < shape.n for end in ends for p in end)
-        assert calls["locate_parts"] == shape.size + len(ends) + (0 if use_oracle else covers)
+        assert calls["locate_parts"] == shape.size + len(ends) + (0 if mode == "full" else covers)
 
     def test_partner_starts_skip_what_their_pair_settled(self, monkeypatch):
-        # the 30 larger starts of N(4, 4)'s psi pairs are the partners: no
-        # greedy counts are built for them, while each of the 55 smaller or
-        # self-paired starts builds its own and its image's
+        # the 30 larger starts of N(4, 4)'s psi pairs are the partners: the
+        # pass runs there none of the checks their pair settled, and builds
+        # no greedy counts for them, while each of the 55 smaller or
+        # self-paired starts runs every check and builds its own greedy
+        # counts and its image's
         module = importlib.import_module("scdposet.decompose")
         shape = GridShape(4, 4)
+        everyone = set(scdposet.starts.iter_start_parts(shape))
         larger = set()
-        for parts in scdposet.starts.iter_start_parts(shape):
+        for parts in everyone:
             image = scdposet.starts.psi(StartVector.of(parts, shape.n)).parts
             if image > parts:
                 larger.add(image)
-        saturated = module._CHAIN_CHECKS["saturated"]
-        partners = set()
+        ran = {}
         counted = Counter()
         greedy_counts = module.greedy_counts
 
-        def noting(v):
-            if v.partner:
-                partners.add(v.sv.parts)
-            return saturated(v)
+        def spying(name, check):
+            def spy(v, *args):
+                ran.setdefault(name, set()).add((v.sv.parts, v.partner))
+                return check(v, *args)
+
+            return spy
 
         def counting(parts, n):
             counted[parts] += 1
             return greedy_counts(parts, n)
 
-        monkeypatch.setitem(module._CHAIN_CHECKS, "saturated", noting)
+        for name in ("symmetric", "saturated", "disjoint", "corollary-vs-simulation"):
+            monkeypatch.setitem(module._CHAIN_CHECKS, name, spying(name, module._CHAIN_CHECKS[name]))
+        monkeypatch.setattr(module, "_check_involution", spying("involution", module._check_involution))
         monkeypatch.setattr(module, "greedy_counts", counting)
         assert verify(shape).passed
-        assert len(larger) == 30 and partners == larger
-        assert sum(counted.values()) == 2 * 55 and counted.keys() == set(scdposet.starts.iter_start_parts(shape))
+        assert len(larger) == 30
+        for name in ("symmetric", "disjoint"):
+            assert ran[name] == {(parts, parts in larger) for parts in everyone}, name
+        for name in module._SETTLED_BY_PAIR:
+            assert ran[name] == {(parts, False) for parts in everyone - larger}, name
+        assert sum(counted.values()) == 2 * 55 and counted.keys() == everyone
 
     @pytest.mark.parametrize("first", [1, 3, 6])
     def test_involution_reports_the_first_mismatched_position(self, monkeypatch, first):

@@ -36,7 +36,7 @@ STDOUT_DIGESTS = {
 
 REPORT_DIGESTS = {
     "verify -m 8 -n 3 --oracle": "a6a1e368603a6243f67cf8caf24ae2a0c0b597a17d31986d37ee5d7a27d0ef29",
-    "verify -m 12 -n 9 --sample 64": "09a8c74fcd140e601c902b6b0c9fa4064fc9f05c726fca6e5f3868c1ef65d137",
+    "verify -m 12 -n 9 --sample 64": "a3187b44891ff50a898d5c6986e4ee5286fe86ce6fe666b7e11626cb1ecb049a",
 }
 
 REPORT_KEYS = ["m", "n", "passed", "chain_count", "element_count", "checks"]
