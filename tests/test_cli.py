@@ -338,6 +338,17 @@ class TestVerifyCommand:
         names = {c["name"]: c for c in json.loads(out)["checks"]}
         assert names["partition"]["passed"] and not names["partition"]["skipped"]
 
+    def test_oracle_flag_changes_nothing_past_the_cap(self, capsys):
+        args = ("verify", "-m", "6", "-n", "6", "--cap", "50", "--sample", "16")
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        code, with_flag, _ = run(capsys, *args, "--oracle")
+        assert code == 0
+        assert self._without_seconds(out) == self._without_seconds(with_flag)
+        names = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert names["partition"]["skipped"]
+        assert names["partition"]["message"].endswith("oracle mode refused")
+
     def test_failing_report_exits_2(self, capsys, monkeypatch):
         def fake_verify(shape, **kwargs):
             report = VerificationReport(shape)
