@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import random
 import time
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, islice
 from math import comb
-from operator import eq, le, ne
+from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import Composition, Frozen, GridShape, Record, _set
@@ -31,10 +31,13 @@ from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_c
 # this cap; past it the oracle is refused and the other checks are sampled.
 DEFAULT_CAP = 1_000_000
 
-# The largest cap `verify` accepts: a 400 MB claim table, about 17 minutes
-# of checking at 100k elements/s.  It keeps every start index, which the
-# table stores plus 1 in an unsigned 4-byte slot, below 2**32 - 1.
-MAX_CAP = 100_000_000
+# The largest cap `verify` accepts, and the largest `sample`.  Within the
+# cap full mode costs a 40 MB claim table, and holds each chain whole while
+# it checks it: at m = 1 the one chain is the whole poset, about 111 bytes
+# per element, so about 1.1 GB at this cap.  Checking takes about 100 s at
+# 100k elements/s.  Every start index, which the table stores plus 1 in an
+# unsigned 4-byte slot, stays below 2**32 - 1.
+MAX_CAP = 10_000_000
 
 # Sampled-mode budgets: how many starts to sample, and how many chain
 # positions to probe per sampled chain.
@@ -357,20 +360,7 @@ def _check_symmetric(v: _StartValue) -> dict | None:
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
-    """Consecutive probed elements differ by one unit vector.
-
-    In full mode the whole chain is read in one pass of C-level iterators:
-    its ranks against a `range` of consecutive ranks, and each pair of
-    neighbours componentwise.  The positions are walked pair by pair, as
-    sampled mode walks its probes, only after a mismatch, for the first
-    one."""
-    els = v.elements
-    if els is not None:
-        low = sum(els[0])
-        if all(map(eq, map(sum, els), range(low, low + len(els)))) and all(
-            map(all, map(map, repeat(le), els, els[1:]))
-        ):
-            return None
+    """Consecutive probed elements differ by one unit vector."""
     for j in v.positions[:-1]:
         a, b = v.at(j), v.at(j + 1)
         if sum(b) - sum(a) != 1 or not all(map(le, a, b)):
@@ -396,12 +386,7 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     starting set is a counterexample, not an error.
 
     Given `partners` (full mode), a passing check sets the bit of the
-    image's `_slot` (see `verify`).
-
-    In full mode the image chain compares with the reversed star of this
-    chain in one pass of C-level iterators; the positions are walked, as
-    sampled mode walks its probes, only after a mismatch, for the first
-    one."""
+    image's `_slot` (see `verify`)."""
     parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
@@ -421,20 +406,13 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     if mirror.positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
     last = v.positions[-1]
-    if elements is None or any(map(ne, mirror.elements, _reversed_star(elements, n))):
-        for j in v.positions:
-            if mirror.at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
-                return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
+    for j in v.positions:
+        if mirror.at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
+            return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     if partners is not None and iparts != parts:
         k = _slot(iparts, len(iparts), n)
         partners[k >> 3] |= 1 << (k & 7)
     return None
-
-
-def _reversed_star(elements: Sequence[tuple[int, ...]], n: int) -> Iterator[tuple[int, ...]]:
-    """The star n - x of each of `elements`, reversed, last element first,
-    made one at a time as it is read."""
-    return map(tuple, map(map, repeat(n.__sub__), map(reversed, reversed(elements))))
 
 
 def _check_corollary(v: _StartValue) -> dict | None:
@@ -482,7 +460,8 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     with a message, and the other checks run on the chains of the first
     `sample` starts in lexicographic order.  A `sample` below 1 is refused,
     since sampled checks over no chains would pass unexamined, and so is a
-    `cap` below 0 or above `MAX_CAP`, before anything is allocated.
+    `sample` above `MAX_CAP` or a `cap` below 0 or above it, before
+    anything is allocated or any round trip runs.
 
     Every check runs in one streaming pass over the starts.  In full mode
     the pass reads the chains of `decompose`, each built once, claims each
@@ -522,6 +501,8 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
+    if sample > MAX_CAP:
+        raise ValueError(f"sample {sample} exceeds the limit of {MAX_CAP}")
     if cap < 0:
         raise ValueError(f"cap must be at least 0, got {cap}")
     if cap > MAX_CAP:

@@ -33,7 +33,6 @@ their oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Sequence
 
 from .core import Composition, Frozen, GridShape, _set, rank
@@ -200,23 +199,16 @@ def fill_walk(parts: tuple[int, ...], end: tuple[int, ...], n: int, table: Seque
     return out
 
 
-@lru_cache(maxsize=1)
-def _part_values(n: int) -> tuple[int, ...]:
-    """The part values 0..n, built once for a run of chains of one n."""
-    return tuple(range(n + 1))
-
-
 def chain_elements(alpha: StartVector) -> Chain:
     """Materialize the chain of `alpha` as parts tuples, from `fill_walk`.
 
-    The walk's table is the part values 0..n: a tuple for a chain longer
-    than n, since a tuple slices faster than a range, kept from the last
-    call with the same n; and the range itself for a shorter chain, which
-    would not repay building the tuple."""
+    The walk's table is the part values 0..n: a list for a chain longer
+    than n, since a list slices faster than a range, and the range itself
+    for a shorter chain, which would not repay building the list."""
     parts = alpha.parts
     n = alpha.shape.n
     # the chain has m*n - 2*sum(parts) + 1 elements
-    table = _part_values(n) if (len(parts) - 1) * n >= 2 * sum(parts) else range(n + 1)
+    table = [*range(n + 1)] if (len(parts) - 1) * n >= 2 * sum(parts) else range(n + 1)
     return Chain(alpha, tuple(fill_walk(parts, alpha.end, n, table, tuple)))
 
 

@@ -389,6 +389,18 @@ class TestVerifyCommand:
         assert out == ""
         assert err == "error: sample must be at least 1, got -3\n"
 
+    def test_sample_above_the_limit_rejected_before_any_round_trip(self, capsys, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+
+        def refuse(shape, count):
+            raise AssertionError(f"{count} round trips run for {shape}")
+
+        monkeypatch.setattr(module, "_random_roundtrip", refuse)
+        code, out, err = run(capsys, "verify", "-m", "2", "-n", "1", "--sample", "1000000000000")
+        assert code == 1
+        assert out == ""
+        assert err == "error: sample 1000000000000 exceeds the limit of 10000000\n"
+
     def test_negative_cap_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "-5")
         assert code == 1
@@ -407,7 +419,7 @@ class TestVerifyCommand:
         code, out, err = run(capsys, "verify", "-m", "10", "-n", "9", "--cap", "100000000000")
         assert code == 1
         assert out == ""
-        assert err == "error: cap 100000000000 exceeds the limit of 100000000\n"
+        assert err == "error: cap 100000000000 exceeds the limit of 10000000\n"
 
     @staticmethod
     def _without_seconds(out):

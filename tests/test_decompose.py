@@ -207,6 +207,18 @@ class TestVerify:
         with pytest.raises(ValueError, match="exceeds the limit"):
             verify(GridShape(2, 1), cap=module.MAX_CAP + 1)
 
+    def test_sample_above_the_limit_refused_before_any_round_trip(self, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+
+        def refuse(shape, count):
+            raise AssertionError(f"{count} round trips run for {shape}")
+
+        monkeypatch.setattr(module, "_random_roundtrip", refuse)
+        with pytest.raises(ValueError, match=rf"^sample {10**12} exceeds the limit of {module.MAX_CAP}$"):
+            verify(GridShape(2, 1), sample=10**12)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            verify(GridShape(2, 1), sample=module.MAX_CAP + 1)
+
     def test_oracle_cannot_be_disabled(self):
         # within the cap the partition oracle always runs, and verify takes
         # no positional argument after the shape that could turn it off

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -162,6 +163,21 @@ class TestChainElements:
         assert chains == [((0, 0), (0, 1), (1, 1)), ((1, 0),)]
         assert cli.main(["chain", "--alpha", "1,3,2,0", "-n", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["elements"] == [list(p) for p in SAMPLE_B_CHAIN]
+
+    def test_short_chain_at_huge_n_builds_no_table(self):
+        # a 21-element chain of N(2, 10**8); a table of all 10**8 + 1 part
+        # values would take about 800 MB
+        sv = StartVector.of((10**8 - 10, 0), 10**8)
+        tracemalloc.start()
+        try:
+            ch = chain_elements(sv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(ch) == 21
+        assert ch.elements[0] == (10**8 - 10, 0)
+        assert ch.elements[-1] == (10**8, 10)
+        assert peak < 1 << 20, peak
 
     def test_length_formula(self, small_shape):
         top = small_shape.top_rank
