@@ -338,8 +338,8 @@ def _check_symmetric(v: _StartValue) -> dict | None:
     does not use the end-vector formula the chain is built from.
 
     The upper covers are located in sampled mode only (see `verify` for
-    why full mode skips them); the end locate and the rank test always
-    run."""
+    why full mode skips them); the end locate and the rank test run
+    wherever the check does."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
@@ -377,16 +377,15 @@ def _check_disjoint(v: _StartValue) -> dict | None:
     return None
 
 
-def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict | None:
+def _check_involution(v: _StartValue) -> dict | None:
     """psi is an involution, turns the greedy tableau half round, and maps the
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
     the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
     greedy end vectors of alpha and psi(alpha).  An image outside the
-    starting set is a counterexample, not an error.
-
-    Given `partners` (full mode), a passing check sets the bit of the
-    image's `_slot` (see `verify`)."""
+    starting set is a counterexample, not an error.  Every identity is
+    symmetric in alpha and psi(alpha), so passing at alpha settles the
+    pair (see `verify`)."""
     parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
@@ -409,9 +408,6 @@ def _check_involution(v: _StartValue, partners: bytearray | None = None) -> dict
     for j in v.positions:
         if mirror.at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
             return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
-    if partners is not None and iparts != parts:
-        k = _slot(iparts, len(iparts), n)
-        partners[k >> 3] |= 1 << (k & 7)
     return None
 
 
@@ -434,7 +430,7 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 
 # The checks the pass skips at a partner: `involution` at its pair's smaller
 # start has settled them (see `verify`).
-_SETTLED_BY_PAIR = frozenset({"saturated", "involution", "corollary-vs-simulation"})
+_SETTLED_BY_PAIR = frozenset({"symmetric", "saturated", "involution", "corollary-vs-simulation"})
 
 
 def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
@@ -489,15 +485,23 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
       * Each psi pair is checked once, at its lexicographically smaller
         start alpha, which the pass reaches first.  Every identity of
         `involution` is symmetric in alpha and beta = psi(alpha) once
-        psi(beta) = alpha, so at alpha it applies psi to beta too, compares
-        both greedy end vectors and both chains, and on passing sets the
-        bit of beta's `_slot` in a `partners` table.  The pass marks beta's
-        value a partner when it reaches it, builds no greedy counts for it,
-        and skips the checks of `_SETTLED_BY_PAIR` there: beta's chain,
-        built by the same `chain_elements`, is the reversed star of alpha's
-        saturated chain, and greedy(beta) = alpha reversed = beta's end
-        vector.  Every other start runs every check; with a true involution
-        that is each smaller or self-paired start.
+        psi(beta) = alpha, so at alpha it applies psi to beta too, and
+        compares both greedy end vectors and both chains.  The pass marks
+        a start beta a partner while `involution` has found nothing and
+        psi(beta), beta's certified end vector reversed, is smaller than
+        beta.  It builds no greedy counts for a partner and skips the
+        checks of `_SETTLED_BY_PAIR` there: beta's chain, built by the same
+        `chain_elements`, is the reversed star of alpha's saturated chain,
+        whose ranks `symmetric` checked at alpha; greedy(beta) = alpha
+        reversed = beta's end vector; and `disjoint` at beta still locates
+        beta's end.  If alpha = psi(beta), reached first, is no partner,
+        `involution` ran there, and if its image is not beta, psi(alpha)
+        and beta are two starts with one end vector, alpha reversed; if
+        alpha is a partner too, following psi down from beta reaches two
+        such starts.  Their chains share a
+        top, which the partition, always run in full mode, reports as
+        claimed twice.  Every other start runs every check; with a true
+        involution that is each smaller or self-paired start.
     """
     if sample < 1:
         raise ValueError(f"sample must be at least 1, got {sample}")
@@ -522,22 +526,12 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
         checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
         finish["partition"] = claims.missing, ""
         seconds["partition"] = clock() - t0
-        # one bit per composition, set at the slot of each larger start of
-        # a checked pair until the pass reaches it: poset_size / 8 bytes,
-        # less than a set of the slots of the pairs still open
-        partners = bytearray((poset_size + 7) >> 3)
-        checks["involution"] = lambda v: _check_involution(v, partners)
-        m, n = shape.m, shape.n
-
-        def full_value(ch: Chain) -> _StartValue:
-            k = _slot(ch.alpha.parts, m, n)  # None for a start outside the grid, never a partner
-            partner = k is not None and partners[k >> 3] >> (k & 7) & 1
-            if partner:
-                partners[k >> 3] ^= 1 << (k & 7)
-            return _StartValue(ch.alpha, ch.elements, bool(partner))
-
         starts: Iterable = ()  # the pass counts every start of `decompose`
-        values = map(full_value, decompose(shape))
+        # built lazily, so each start reads `found` as the pass leaves it
+        values = (
+            _StartValue(ch.alpha, ch.elements, "involution" not in found and ch.alpha.end[::-1] < ch.alpha.parts)
+            for ch in decompose(shape)
+        )
     else:
         skipped["partition"] = f"poset size {poset_size} exceeds cap {cap}; oracle mode refused"
         starts = iter_start_parts(shape)

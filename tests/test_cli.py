@@ -565,6 +565,11 @@ class TestArgumentErrors:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_shape_one_cell_past_the_limit_rejected(self, capsys):
+        code, out, err = run(capsys, "stats", "-m", "2", "-n", "1073741825")
+        assert code == 1 and out == ""
+        assert err == "error: grid shape too large: 2*1073741825 cells exceeds 2147483648\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import scdposet
 from scdposet import Composition, GridShape, rank
 from scdposet.core import (
+    MAX_CELLS,
     Record,
     ShapeMismatchError,
     covers,
@@ -43,6 +44,12 @@ class TestShapeAndComposition:
     def test_shape_rejects_huge_grid(self):
         with pytest.raises(ValueError):
             GridShape(2**20, 2**20)
+
+    def test_cell_limit_is_inclusive(self):
+        assert MAX_CELLS == 2**31
+        assert GridShape(2, 2**30).top_rank == MAX_CELLS
+        with pytest.raises(ValueError, match=f"grid shape too large: 2\\*1073741825 cells exceeds {MAX_CELLS}"):
+            GridShape(2, 2**30 + 1)
 
     @pytest.mark.parametrize("m, n", [(2.0, 3), (2, 3.0)])
     def test_shape_refuses_sizes_that_are_not_integers(self, m, n):

@@ -667,11 +667,11 @@ class TestVerifyPass:
 
     @pytest.mark.parametrize("mode", ["full", "sampled"])
     def test_upper_covers_are_located_only_in_sampled_mode(self, monkeypatch, mode):
-        # disjoint locates every element; symmetric locates every end, and
-        # every upper cover of every end only in sampled mode, where no
-        # partition oracle settles them.  Sampled over all 85 starts of
-        # N(4, 4), every chain is shorter than the probe budget, so every
-        # element is probed
+        # disjoint locates every element; symmetric locates the end of each
+        # chain it checks, and every upper cover of every end only in
+        # sampled mode, where no partition oracle settles them.  Sampled
+        # over all 85 starts of N(4, 4), every chain is shorter than the
+        # probe budget, so every element is probed
         module = importlib.import_module("scdposet.decompose")
         original = module.locate_parts
         calls = Counter()
@@ -686,7 +686,10 @@ class TestVerifyPass:
         assert report.passed
         ends = [ch.elements[-1] for ch in decompose(shape)]
         covers = sum(p < shape.n for end in ends for p in end)
-        assert calls["locate_parts"] == shape.size + len(ends) + (0 if mode == "full" else covers)
+        # full mode locates no end at the 30 larger starts of psi pairs,
+        # whose pair settled symmetric
+        located_ends = len(ends) - (30 if mode == "full" else 0)
+        assert calls["locate_parts"] == shape.size + located_ends + (0 if mode == "full" else covers)
 
     def test_partner_starts_skip_what_their_pair_settled(self, monkeypatch):
         # the 30 larger starts of N(4, 4)'s psi pairs are the partners: the
@@ -717,17 +720,43 @@ class TestVerifyPass:
             counted[parts] += 1
             return greedy_counts(parts, n)
 
-        for name in ("symmetric", "saturated", "disjoint", "corollary-vs-simulation"):
-            monkeypatch.setitem(module._CHAIN_CHECKS, name, spying(name, module._CHAIN_CHECKS[name]))
-        monkeypatch.setattr(module, "_check_involution", spying("involution", module._check_involution))
+        for name, check in list(module._CHAIN_CHECKS.items()):
+            monkeypatch.setitem(module._CHAIN_CHECKS, name, spying(name, check))
         monkeypatch.setattr(module, "greedy_counts", counting)
         assert verify(shape).passed
         assert len(larger) == 30
-        for name in ("symmetric", "disjoint"):
-            assert ran[name] == {(parts, parts in larger) for parts in everyone}, name
-        for name in module._SETTLED_BY_PAIR:
+        assert ran["disjoint"] == {(parts, parts in larger) for parts in everyone}
+        settled = {"symmetric", "saturated", "involution", "corollary-vs-simulation"}
+        assert module._SETTLED_BY_PAIR == settled
+        for name in settled:
             assert ran[name] == {(parts, False) for parts in everyone - larger}, name
         assert sum(counted.values()) == 2 * 55 and counted.keys() == everyone
+
+    def test_no_start_is_a_partner_once_involution_has_failed(self, monkeypatch):
+        # psi is wrong only at (0, 0, 2, 0), where it fixes its input; every
+        # later start runs saturated, (1, 0, 0, 0) too, whose pair (0, 0, 1,
+        # 0) passed involution before the failure
+        module = importlib.import_module("scdposet.decompose")
+        shape = GridShape(4, 4)
+        broken = (0, 0, 2, 0)
+        plant(monkeypatch, "starts", "psi", lambda psi: lambda a: StartVector(a.alpha) if a.parts == broken else psi(a))
+        saturated = module._CHAIN_CHECKS["saturated"]
+        ran = set()
+
+        def spy(v):
+            ran.add(v.sv.parts)
+            return saturated(v)
+
+        monkeypatch.setitem(module._CHAIN_CHECKS, "saturated", spy)
+        report = verify(shape)
+        assert report.check("involution").counterexample == {
+            "alpha": list(broken),
+            "psi": list(broken),
+            "reason": "rotated tableau differs",
+        }
+        later = {parts for parts in scdposet.starts.iter_start_parts(shape) if parts > broken}
+        assert (1, 0, 0, 0) in later and later <= ran
+        assert report.check("saturated").passed
 
     @pytest.mark.parametrize("first", [1, 3, 6])
     def test_involution_reports_the_first_mismatched_position(self, monkeypatch, first):
@@ -745,8 +774,8 @@ class TestVerifyPass:
         }
 
     def test_stream_start_outside_the_grid_is_reported_not_raised(self, monkeypatch):
-        # a start from another grid has no slot in this one, so it is never
-        # taken for a partner; partition refuses it
+        # a start from another grid, (2, 0) for n = 3, is its own psi image,
+        # so it is no partner and runs every check; partition refuses it
         module = importlib.import_module("scdposet.decompose")
         honest = module.decompose
 
