@@ -128,7 +128,7 @@ def chain_length_histogram(shape: GridShape) -> dict[int, int]:
 
 
 class CheckResult(Record):
-    """The outcome of one verify check; `verify` creates each once its pass is done."""
+    """The outcome of one verify check, created before `verify`'s pass and filled in by it."""
 
     __slots__ = ("name", "passed", "seconds", "counterexample", "skipped", "message")
 
@@ -446,6 +446,12 @@ def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
     return None
 
 
+def _count_text(count: int, closed_form: str) -> str:
+    """`count` in decimal up to 4,300 digits, the most Python 3.11 (and 3.10
+    from 3.10.7) converts by default, and past them `closed_form`."""
+    return str(count) if count < 10**4300 else closed_form
+
+
 def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STARTS) -> VerificationReport:
     """Run the full verification battery and collect a report.
 
@@ -465,13 +471,13 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
     A check stops at its first counterexample in start order, but the pass
-    reads the whole stream.  Each start's value is charged to the first
-    check still running, so the checks' seconds add up to the wall time of
-    the pass.  A finish step runs after the stream for a check still
-    passing: the partition's sweep for a slot left unclaimed, and
-    `disjoint`'s `sample` seeded random round trips through `locate` and
-    `chain_contains`.  Reports from repeated runs are identical apart from
-    timings.
+    reads the whole stream.  A finish step runs after the stream for a
+    check still passing: the partition's sweep for a slot left unclaimed,
+    and `disjoint`'s `sample` seeded random round trips through `locate` and
+    `chain_contains`.  Every step is charged to its own check, the middle
+    rank's size too when its count is skipped, and each start's value to
+    the first check still running, so no interval is charged twice.
+    Reports from repeated runs are identical apart from timings.
 
     Full mode skips only work whose verdict another check of the same pass
     has already decided, and every check stays in the report.  Sampled mode
@@ -514,73 +520,66 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     clock = time.perf_counter
     poset_size = shape.size
     full = poset_size <= cap
-    checks = dict(_CHAIN_CHECKS)
-    skipped: dict[str, str] = {}
-    found: dict[str, dict] = {}
-    seconds = dict.fromkeys(["partition", *checks, "middle-rank-count"], 0.0)
-    # finish steps, each with the note it adds to its check's message
-    finish: dict[str, tuple[Callable[[], dict | None], str]] = {}
+    names = ("partition", *_CHAIN_CHECKS, "middle-rank-count")
+    report = VerificationReport(shape, [CheckResult(name, True) for name in names], None, poset_size if full else None)
+    partition, *chain_checks, middle = report.checks
+    involution, disjoint = report.check("involution"), report.check("disjoint")
+    running = list(zip(chain_checks, _CHAIN_CHECKS.values()))
     if full:
         t0 = clock()
         claims = _ClaimTable(shape)
-        checks = {"partition": lambda v: claims.claim(v.sv.parts, v.elements), **checks}
-        finish["partition"] = claims.missing, ""
-        seconds["partition"] = clock() - t0
+        running.insert(0, (partition, lambda v: claims.claim(v.sv.parts, v.elements)))
+        partition.seconds = clock() - t0
         starts: Iterable = ()  # the pass counts every start of `decompose`
-        # built lazily, so each start reads `found` as the pass leaves it
+        # built lazily, so each start reads `involution` as the pass leaves it
         values = (
-            _StartValue(ch.alpha, ch.elements, "involution" not in found and ch.alpha.end[::-1] < ch.alpha.parts)
+            _StartValue(ch.alpha, ch.elements, involution.passed and ch.alpha.end[::-1] < ch.alpha.parts)
             for ch in decompose(shape)
         )
     else:
-        skipped["partition"] = f"poset size {poset_size} exceeds cap {cap}; oracle mode refused"
+        size = _count_text(poset_size, f"{shape.n + 1}**{shape.m}")
+        partition.skipped, partition.message = True, f"poset size {size} exceeds cap {cap}; oracle mode refused"
         starts = iter_start_parts(shape)
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
-    finish["disjoint"] = (lambda: _random_roundtrip(shape, sample)), "" if full else f"; {sample} random round trips"
 
-    running = list(checks.items())
     count = 0
     t0 = clock()
     for value in values:
         count += 1
-        for name, check in running:
-            if value.partner and name in _SETTLED_BY_PAIR:
+        for record, check in running:
+            if not record.passed or value.partner and record.name in _SETTLED_BY_PAIR:
                 continue
             bad = check(value)
             t1 = clock()
-            seconds[name] += t1 - t0
+            record.seconds += t1 - t0
             t0 = t1
-            if bad is not None:
-                found[name] = bad
-                # rebinding leaves this loop on the old list, so the value's
-                # remaining checks still run
-                running = [item for item in running if item[0] != name]
+            record.passed, record.counterexample = bad is None, bad
 
-    note = "" if full else f"sampled {count} chains"
-    messages = {name: note if name in _CHAIN_CHECKS else "" for name in seconds}
-    for name, (step, suffix) in finish.items():
-        if name not in found:
-            t0 = clock()
-            bad = step()
-            seconds[name] += clock() - t0
-            messages[name] += suffix
-            if bad is not None:
-                found[name] = bad
+    for record in chain_checks:
+        record.message = "" if full else f"sampled {count} chains"
+    if full and partition.passed:
+        t0 = clock()
+        bad = claims.missing()
+        partition.seconds += clock() - t0
+        partition.passed, partition.counterexample = bad is None, bad
+    if disjoint.passed:
+        disjoint.message += "" if full else f"; {sample} random round trips"
+        t0 = clock()
+        bad = _random_roundtrip(shape, sample)
+        disjoint.seconds += clock() - t0
+        disjoint.passed, disjoint.counterexample = bad is None, bad
 
     t0 = clock()
     expected = middle_level_size(shape)
     if expected > cap:
-        skipped["middle-rank-count"] = f"middle rank size {expected} exceeds cap {cap}"
+        size = _count_text(expected, f"at least 2**{expected.bit_length() - 1}")
+        middle.skipped, middle.message = True, f"middle rank size {size} exceeds cap {cap}"
     else:
         # full mode counted every start in the pass, and sampled mode counts
         # on along its enumeration; either count stops at expected + 1
         got = min(count + sum(1 for _ in islice(starts, max(0, expected + 1 - count))), expected + 1)
-        seconds["middle-rank-count"] = clock() - t0
         if got != expected:
-            found["middle-rank-count"] = {"chain_count": got, "middle_level_size": expected}
-
-    results = [
-        CheckResult(name, name not in found, seconds[name], found.get(name), name in skipped, skipped.get(name, note))
-        for name, note in messages.items()
-    ]
-    return VerificationReport(shape, results, count if full else None, poset_size if full else None)
+            middle.passed, middle.counterexample = False, {"chain_count": got, "middle_level_size": expected}
+    middle.seconds = clock() - t0
+    report.chain_count = count if full else None
+    return report

@@ -377,6 +377,14 @@ class TestVerifyCommand:
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
+    def test_sampled_verify_runs_past_the_decimal_limit(self, capsys):
+        # the poset size 30001**1000 has 4,478 digits, past the 4,300 the
+        # interpreter converts to decimal by default
+        code, out, err = run(capsys, "verify", "-m", "1000", "-n", "30000", "--sample", "1")
+        assert (code, err) == (0, "")
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["partition"]["message"] == "poset size 30001**1000 exceeds cap 1000000; oracle mode refused"
+
     def test_sample_zero_rejected(self, capsys):
         code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "0")
         assert code == 1

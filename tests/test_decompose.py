@@ -1,6 +1,7 @@
 import importlib
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -228,6 +229,58 @@ class TestVerify:
         assert report.passed
         with pytest.raises(TypeError):
             verify(GridShape(2, 2), False)
+
+    @pytest.mark.parametrize("cap, full", [(9, True), (8, False)])
+    def test_cap_is_inclusive(self, cap, full):
+        report = verify(GridShape(2, 2), cap=cap)
+        partition = report.check("partition")
+        assert report.passed
+        if full:
+            assert partition.passed and not partition.skipped
+            assert (report.chain_count, report.element_count) == (3, 9)
+        else:
+            assert partition.skipped
+            assert partition.message == "poset size 9 exceeds cap 8; oracle mode refused"
+            assert (report.chain_count, report.element_count) == (None, None)
+
+    def test_counts_past_the_decimal_limit_are_printed_in_closed_form(self):
+        # 30001**1000 has 4,478 digits and the middle rank about 4,472: more
+        # than the interpreter converts to decimal by default
+        report = verify(GridShape(1000, 30000), sample=1)
+        assert report.passed
+        assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
+        partition = report.check("partition")
+        assert partition.message == "poset size 30001**1000 exceeds cap 1000000; oracle mode refused"
+        middle = report.check("middle-rank-count")
+        assert middle.message == "middle rank size at least 2**14853 exceeds cap 1000000"
+
+    @pytest.mark.parametrize("digits", [4300, 4301])
+    def test_decimal_limit_is_inclusive(self, digits):
+        module = importlib.import_module("scdposet.decompose")
+        count = 10 ** (digits - 1)
+        assert module._count_text(count, "closed") == ("1" + "0" * 4299 if digits == 4300 else "closed")
+
+    def test_skipped_middle_rank_count_is_charged_for_its_size(self, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+        size = module.middle_level_size
+
+        def slow_size(shape):
+            time.sleep(0.05)
+            return size(shape)
+
+        monkeypatch.setattr(module, "middle_level_size", slow_size)
+        middle = verify(GridShape(2, 2), cap=0, sample=1).check("middle-rank-count")
+        assert middle.skipped
+        assert middle.seconds >= 0.05
+
+    @pytest.mark.parametrize("shape, sample", [(GridShape(4, 4), 512), (GridShape(12, 9), 64)])
+    def test_check_seconds_add_up_to_no_more_than_the_wall_time(self, shape, sample):
+        t0 = time.perf_counter()
+        report = verify(shape, sample=sample)
+        wall = time.perf_counter() - t0
+        assert report.passed
+        assert all(c.seconds >= 0 for c in report.checks)
+        assert sum(c.seconds for c in report.checks) <= wall
 
     def test_middle_count_skipped_past_cap(self):
         report = verify(GridShape(6, 6), cap=50, sample=16)
