@@ -49,6 +49,11 @@ POSITIONS_PER_CHAIN = 64
 # At the limit the slowest measured shape, m = 2 and n = 250,000, took 1.0 s
 # end to end on a 2-vCPU VM (Python 3.11.7); N(40, 2000), at 3.2 times the
 # limit, took 1.1 s to 1.5 s and N(200, 2000) did not finish in 20 s.
+# `verify` skips `middle-rank-count` past it before `middle_level_size` runs,
+# which took 0.01 s at N(1000, 1), on the limit, and 6.3 s at N(4400, 9) on
+# the same VM.
+# Within it the middle rank has at most about 350 digits, so its size
+# always prints in decimal.
 MAX_STATS_WORK = 1_000_000
 
 
@@ -470,6 +475,8 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     in the partition table, and counts every start.  In sampled mode it
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
+    Past m*m*n = `MAX_STATS_WORK` the middle rank's size is not computed,
+    and its count is skipped.
     A check stops at its first counterexample in start order, but the pass
     reads the whole stream.  A finish step runs after the stream for a
     check still passing: the partition's sweep for a slot left unclaimed,
@@ -570,10 +577,11 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
         disjoint.passed, disjoint.counterexample = bad is None, bad
 
     t0 = clock()
-    expected = middle_level_size(shape)
-    if expected > cap:
-        size = _count_text(expected, f"at least 2**{expected.bit_length() - 1}")
-        middle.skipped, middle.message = True, f"middle rank size {size} exceeds cap {cap}"
+    work = shape.m * shape.m * shape.n
+    if work > MAX_STATS_WORK:
+        middle.skipped, middle.message = True, f"m*m*n = {work} exceeds the count limit of {MAX_STATS_WORK}"
+    elif (expected := middle_level_size(shape)) > cap:
+        middle.skipped, middle.message = True, f"middle rank size {expected} exceeds cap {cap}"
     else:
         # full mode counted every start in the pass, and sampled mode counts
         # on along its enumeration; either count stops at expected + 1
