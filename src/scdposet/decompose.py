@@ -39,6 +39,14 @@ DEFAULT_CAP = 1_000_000
 # unsigned 4-byte slot, stays below 2**32 - 1.
 MAX_CAP = 10_000_000
 
+# The most rows at which the middle rank can fit `MAX_CAP`.  Past it
+# `verify` skips `middle-rank-count` without computing the middle rank's
+# size: for n >= 1 the rank holds at least C(m, m // 2) compositions (a fixed
+# base of parts below n, plus each 0/1 vector with m // 2 ones), and
+# C(26, 13) = 10,400,600.  Within it `MAX_CELLS` bounds n, so the size has
+# at most 191 digits and prints in decimal.
+MIDDLE_COUNT_MAX_M = 25
+
 # Sampled-mode budgets: how many starts to sample, and how many chain
 # positions to probe per sampled chain.
 SAMPLE_STARTS = 512
@@ -49,11 +57,6 @@ POSITIONS_PER_CHAIN = 64
 # At the limit the slowest measured shape, m = 2 and n = 250,000, took 1.0 s
 # end to end on a 2-vCPU VM (Python 3.11.7); N(40, 2000), at 3.2 times the
 # limit, took 1.1 s to 1.5 s and N(200, 2000) did not finish in 20 s.
-# `verify` skips `middle-rank-count` past it before `middle_level_size` runs,
-# which took 0.01 s at N(1000, 1), on the limit, and 6.3 s at N(4400, 9) on
-# the same VM.
-# Within it the middle rank has at most about 350 digits, so its size
-# always prints in decimal.
 MAX_STATS_WORK = 1_000_000
 
 
@@ -475,8 +478,8 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     in the partition table, and counts every start.  In sampled mode it
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
-    Past m*m*n = `MAX_STATS_WORK` the middle rank's size is not computed,
-    and its count is skipped.
+    Past `MIDDLE_COUNT_MAX_M` rows the middle rank exceeds every cap, so
+    its size is not computed and its count is skipped.
     A check stops at its first counterexample in start order, but the pass
     reads the whole stream.  A finish step runs after the stream for a
     check still passing: the partition's sweep for a slot left unclaimed,
@@ -577,9 +580,9 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
         disjoint.passed, disjoint.counterexample = bad is None, bad
 
     t0 = clock()
-    work = shape.m * shape.m * shape.n
-    if work > MAX_STATS_WORK:
-        middle.skipped, middle.message = True, f"m*m*n = {work} exceeds the count limit of {MAX_STATS_WORK}"
+    if shape.m > MIDDLE_COUNT_MAX_M:
+        size = f"at least C({shape.m}, {shape.m // 2})"
+        middle.skipped, middle.message = True, f"middle rank size {size} exceeds cap {cap}"
     elif (expected := middle_level_size(shape)) > cap:
         middle.skipped, middle.message = True, f"middle rank size {expected} exceeds cap {cap}"
     else:

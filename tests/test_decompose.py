@@ -245,17 +245,17 @@ class TestVerify:
 
     def test_counts_past_the_decimal_limit_are_printed_in_closed_form(self):
         # 30001**1000 has 4,478 digits, more than the interpreter converts to
-        # decimal by default; the middle rank is past the work limit, so its
-        # size is never computed
+        # decimal by default; at 1,000 rows the middle rank's size is never
+        # computed
         report = verify(GridShape(1000, 30000), sample=1)
         assert report.passed
         assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
         partition = report.check("partition")
         assert partition.message == "poset size 30001**1000 exceeds cap 1000000; oracle mode refused"
         middle = report.check("middle-rank-count")
-        assert middle.message == "m*m*n = 30000000000 exceeds the count limit of 1000000"
+        assert middle.message == "middle rank size at least C(1000, 500) exceeds cap 1000000"
 
-    def test_middle_rank_size_past_the_work_limit_is_not_computed(self, monkeypatch):
+    def test_middle_rank_size_past_every_cap_is_not_computed(self, monkeypatch):
         # middle_level_size took over 5 s at this shape, only for its count to be skipped
         module = importlib.import_module("scdposet.decompose")
 
@@ -267,17 +267,27 @@ class TestVerify:
         assert report.passed
         assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
         middle = report.check("middle-rank-count")
-        assert middle.message == "m*m*n = 174240000 exceeds the count limit of 1000000"
+        assert middle.message == "middle rank size at least C(4400, 2200) exceeds cap 1000000"
 
-    @pytest.mark.parametrize("m", [1000, 1001])
-    def test_middle_rank_work_limit_is_inclusive(self, m):
-        # m*m*n is 10**6 at m = 1000, exactly the limit, and 1,002,001 past it
+    def test_middle_rank_fits_the_cap_limit_up_to_the_row_bound(self):
+        module = importlib.import_module("scdposet.decompose")
+        m = module.MIDDLE_COUNT_MAX_M
+        assert middle_level_size(GridShape(m, 1)) <= module.MAX_CAP < comb(m + 1, (m + 1) // 2)
+
+    @pytest.mark.parametrize("m", [25, 26])
+    def test_middle_rank_row_bound_is_inclusive(self, m):
         middle = verify(GridShape(m, 1), cap=0, sample=1).check("middle-rank-count")
         assert middle.skipped and middle.passed
-        if m == 1000:
-            assert middle.message == f"middle rank size {comb(1000, 500)} exceeds cap 0"
+        if m == 25:
+            assert middle.message == f"middle rank size {comb(25, 12)} exceeds cap 0"
         else:
-            assert middle.message == "m*m*n = 1002001 exceeds the count limit of 1000000"
+            assert middle.message == "middle rank size at least C(26, 13) exceeds cap 0"
+
+    def test_middle_rank_of_a_long_two_row_grid_is_counted(self):
+        # m*m*n is past the stats limit, but the middle rank, 300,001
+        # compositions, fits the cap
+        middle = verify(GridShape(2, 300000), sample=1).check("middle-rank-count")
+        assert middle.passed and not middle.skipped
 
     @pytest.mark.parametrize("digits", [4300, 4301])
     def test_decimal_limit_is_inclusive(self, digits):
