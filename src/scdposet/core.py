@@ -163,18 +163,26 @@ class Composition(Frozen):
         return cls(GridShape(len(t), n), t)
 
 
+# The most digits `int` converts from text by default (Python 3.11, and 3.10
+# from 3.10.7); `parse_parts` refuses a longer part with its own message.
+MAX_PART_DIGITS = 4300
+
+
 def parse_parts(text: str) -> tuple[int, ...]:
     """Parse "2,0,5,0" into (2, 0, 5, 0). Raises ValueError on junk.
 
     Each part must be ASCII decimal digits only: no sign, underscore,
-    whitespace or non-ASCII digit, all of which `int` would accept.
+    whitespace or non-ASCII digit, all of which `int` would accept, and at
+    most `MAX_PART_DIGITS` of them.
     """
     items = text.split(",")
     if items == [""]:
         raise ValueError("empty vector")
-    for item in items:
+    for i, item in enumerate(items, 1):
         if not (item.isascii() and item.isdigit()):
             raise ValueError(f"part {item!r} is not a decimal number")
+        if len(item) > MAX_PART_DIGITS:
+            raise ValueError(f"part {i} has {len(item)} digits, more than the limit of {MAX_PART_DIGITS}")
     return tuple(int(item) for item in items)
 
 

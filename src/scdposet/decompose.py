@@ -489,6 +489,14 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
     the first check still running, so no interval is charged twice.
     Reports from repeated runs are identical apart from timings.
 
+    A vector the start enumeration yields that `StartVector` refuses is a
+    fault of the enumeration, not bad input: it fails the first chain
+    check still running, with the counterexample `{"alpha": ..., "reason":
+    "not a start vector"}` (with none running, the report has already
+    failed), and the pass reads no start past it.  In full mode
+    `decompose` raises there and so ends, and sampled mode stops there
+    too; the finish steps and the middle-rank count still run.
+
     Full mode skips only work whose verdict another check of the same pass
     has already decided, and every check stays in the report.  Sampled mode
     skips nothing: it runs every check at every sampled start.
@@ -554,16 +562,24 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
 
     count = 0
     t0 = clock()
-    for value in values:
-        count += 1
-        for record, check in running:
-            if not record.passed or value.partner and record.name in _SETTLED_BY_PAIR:
-                continue
-            bad = check(value)
-            t1 = clock()
-            record.seconds += t1 - t0
-            t0 = t1
-            record.passed, record.counterexample = bad is None, bad
+    try:
+        for value in values:
+            count += 1
+            for record, check in running:
+                if not record.passed or value.partner and record.name in _SETTLED_BY_PAIR:
+                    continue
+                bad = check(value)
+                t1 = clock()
+                record.seconds += t1 - t0
+                t0 = t1
+                record.passed, record.counterexample = bad is None, bad
+    except NotStartVectorError as exc:
+        # the enumeration, not the input, yielded a vector that is no start
+        for record in chain_checks:
+            if record.passed:
+                record.seconds += clock() - t0
+                record.passed, record.counterexample = False, {"alpha": list(exc.parts), "reason": "not a start vector"}
+                break
 
     for record in chain_checks:
         record.message = "" if full else f"sampled {count} chains"

@@ -30,7 +30,14 @@ from .core import Composition, Frozen, GridShape, _set
 
 
 class NotStartVectorError(ValueError):
-    """Raised when a composition is used as a chain start but is not one."""
+    """Raised when a composition is used as a chain start but is not one.
+
+    `parts` is the refused vector when the membership test raised, else None.
+    """
+
+    def __init__(self, message: str, parts: tuple[int, ...] | None = None) -> None:
+        super().__init__(message)
+        self.parts = parts
 
 
 class StartVector(Frozen):
@@ -74,7 +81,7 @@ def start_end(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
     # The rank bound is implied by the t=1 suffix inequality, which the
     # block scan decides; comparing it apart cross-checks the scan.
     if parts[-1] != 0 or 2 * sum(parts) > len(parts) * n:
-        raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
+        raise NotStartVectorError(f"{parts} is not a start vector for n={n}", parts)
     return alpha_end_parts(parts, n)
 
 
@@ -122,7 +129,7 @@ def alpha_end_parts(parts: tuple[int, ...], n: int) -> tuple[int, ...]:
             end.append(d + f)
             d = 0
     if d > 0:
-        raise NotStartVectorError(f"{parts} is not a start vector for n={n}")
+        raise NotStartVectorError(f"{parts} is not a start vector for n={n}", parts)
     return tuple(end)
 
 

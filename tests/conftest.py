@@ -115,18 +115,37 @@ def _swap_two(out):
     out[1], out[2] = out[2], out[1]
 
 
-def starts_editing_keyed_start(copies):
-    """A planted fault: the start enumeration yields the keyed start
-    `copies` times instead of once."""
+def starts_editing_keyed_start(edit):
+    """A planted fault: the start enumeration yields the vectors
+    `edit(parts, n)` in place of the keyed start `parts`."""
 
     def make(original):
         def starts(shape):
             for parts in original(shape):
-                yield from [parts] * (copies if is_keyed_start(parts) else 1)
+                yield from edit(parts, shape.n) if is_keyed_start(parts) else (parts,)
 
         return starts
 
     return make
+
+
+def middle_non_start(m, n):
+    """(0, ..., 0, 1, n, 0): last part 0 and rank within the bound, but for
+    m >= 3 and n >= 2 it fails the suffix inequality at t = m - 2 (1-based),
+    and only that one."""
+    return (0,) * (m - 3) + (1, n, 0)
+
+
+def _drop(parts, n):
+    return ()
+
+
+def _repeat(parts, n):
+    return parts, parts
+
+
+def _add_non_start(parts, n):
+    return parts, middle_non_start(len(parts), n)
 
 
 def element_at_wrong_at_first_interior(original):
@@ -154,8 +173,9 @@ FAULTS = {
     "fill_walk skipping one element": ("tableau", "fill_walk", walk_editing_keyed_chain(_skip_one)),
     "fill_walk repeating one element": ("tableau", "fill_walk", walk_editing_keyed_chain(_repeat_one)),
     "fill_walk swapping two elements": ("tableau", "fill_walk", walk_editing_keyed_chain(_swap_two)),
-    "iter_start_parts dropping one start": ("starts", "iter_start_parts", starts_editing_keyed_start(0)),
-    "iter_start_parts repeating one start": ("starts", "iter_start_parts", starts_editing_keyed_start(2)),
+    "iter_start_parts dropping one start": ("starts", "iter_start_parts", starts_editing_keyed_start(_drop)),
+    "iter_start_parts repeating one start": ("starts", "iter_start_parts", starts_editing_keyed_start(_repeat)),
+    "iter_start_parts yielding a non-start": ("starts", "iter_start_parts", starts_editing_keyed_start(_add_non_start)),
     "element_at wrong at one interior position": ("tableau", "element_at", element_at_wrong_at_first_interior),
 }
 

@@ -95,6 +95,14 @@ class TestShapeAndComposition:
         with pytest.raises(ValueError):
             parse_parts(f"1,{item},2")
 
+    def test_parse_refuses_a_part_past_the_digit_limit_by_position(self):
+        # `int` itself converts at most 4,300 digits, and its message names
+        # neither the part nor the input
+        assert parse_parts("0," + "0" * 4299 + "7") == (0, 7)
+        with pytest.raises(ValueError) as raised:
+            parse_parts("0,0," + "1" * 4301)
+        assert str(raised.value) == "part 3 has 4301 digits, more than the limit of 4300"
+
     def test_format_parts(self):
         assert format_parts((0, 10, 3)) == "0,10,3"
         assert parse_parts("2,0,5,0") == (2, 0, 5, 0)

@@ -12,7 +12,7 @@ import pytest
 
 from scdposet import GridShape, decompose, verify
 
-from conftest import FAULTS, plant
+from conftest import FAULTS, middle_non_start, plant
 
 MODES = {
     "full": lambda: verify(GridShape(4, 4)),
@@ -41,6 +41,9 @@ MATRIX = {
     # past the cap N(12,9) counts no starts: its middle rank is skipped
     "iter_start_parts dropping one start": ({"partition", "middle-rank-count"}, set()),
     "iter_start_parts repeating one start": ({"partition", "middle-rank-count"}, set()),
+    # the pass ends at the non-start, which fails the first chain check
+    # still running; the chains after it are never claimed or counted
+    "iter_start_parts yielding a non-start": ({"partition", "symmetric", "middle-rank-count"}, set()),
     # full mode reads every chain from the walk; only the random round
     # trips that finish `disjoint` read chains through element_at
     "element_at wrong at one interior position": ({"disjoint"}, {"saturated", "disjoint", "involution"}),
@@ -64,6 +67,14 @@ def test_fault_fails_exactly_its_checks(monkeypatch, fault, mode):
     full, sampled = MATRIX[fault]
     assert failing == (sampled if mode == "sampled" else full)
     assert report.passed == (not failing)
+
+
+@pytest.mark.parametrize("m, n", [(4, 4), (5, 3), (12, 9)])
+def test_planted_non_start_fails_only_a_middle_suffix_inequality(m, n):
+    parts = middle_non_start(m, n)
+    failing = [t for t in range(1, m) if sum(parts[t - 1 : m - 1]) > sum(n - p for p in parts[t:])]
+    assert parts[-1] == 0 and 2 * sum(parts) <= m * n
+    assert failing == [m - 2]
 
 
 def _upper_covers(parts, n):
