@@ -13,7 +13,7 @@ import sys
 from typing import Callable
 
 from .core import Composition, GridShape, parse_parts
-from .decompose import DEFAULT_CAP, MAX_STATS_WORK, SAMPLE_STARTS, level_sizes, verify
+from .decompose import MAX_STATS_WORK, level_sizes, verify
 from .locate import certificate
 from .render import MAX_RENDER_CELLS, render_ascii, render_svg, tableau_payload
 from .starts import StartVector, iter_start_parts, psi, start_end
@@ -57,8 +57,6 @@ def _build_parser() -> _Parser:
     # accepted for scripts written when the oracle was optional; within the
     # cap it always runs
     p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="largest poset size checked exhaustively")
-    p.add_argument("--sample", type=int, default=SAMPLE_STARTS, help="chains sampled past the cap, and random round trips")
 
     p = sub.add_parser("render", help="draw the tableau of a start vector")
     p.add_argument("--alpha", required=True)
@@ -172,7 +170,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         sv = StartVector.of(parse_parts(args.alpha), args.n)
         try:
             image = psi(sv)
-            back = psi(image)
+            # at a fixed point psi(image) is psi(sv) again, which is image
+            back = image if image.parts == sv.parts else psi(image)
         except ValueError as exc:
             # sv is certified, so an image that is no valid composition or no
             # start vector is a failed check, not bad input
@@ -195,7 +194,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "verify":
         shape = GridShape(args.m, args.n)
-        report = verify(shape, cap=args.cap, sample=args.sample)
+        report = verify(shape)
         sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
         return 0 if report.passed else 2
 

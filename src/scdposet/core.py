@@ -139,10 +139,13 @@ class Composition(Frozen):
         n = self.shape.n
         for p in self.parts:
             # a float passes the range test and fails later, in a chain walk
-            if p.__class__ is not int:
-                raise TypeError(f"part {p!r} is not an int in {self.parts}")
-            if not 0 <= p <= n:
-                raise ValueError(f"part {p} outside [0, {n}] in {self.parts}")
+            if p.__class__ is not int or not 0 <= p <= n:
+                # the first part that is p: an earlier one was refused already
+                i = list(map(id, self.parts)).index(id(p)) + 1
+                if p.__class__ is not int:
+                    raise TypeError(f"part {i} ({p!r}) is not an int")
+                shown = p if -(10**20) < p < 10**20 else f"a {len(str(abs(p)))}-digit number"
+                raise ValueError(f"part {i} ({shown}) is outside [0, {n}]")
 
     @classmethod
     def _derived(cls, shape: GridShape, parts: tuple[int, ...]) -> "Composition":

@@ -21,7 +21,7 @@ from math import comb
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Composition, Frozen, GridShape, Record, _set
+from .core import MAX_PART_DIGITS, Composition, Frozen, GridShape, Record, _set
 from .locate import locate, locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
@@ -31,21 +31,13 @@ from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_c
 # this cap; past it the oracle is refused and the other checks are sampled.
 DEFAULT_CAP = 1_000_000
 
-# The largest cap `verify` accepts, and the largest `sample`.  Within the
-# cap full mode costs a 40 MB claim table, and holds each chain whole while
-# it checks it: at m = 1 the one chain is the whole poset, about 111 bytes
-# per element, so about 1.1 GB at this cap.  Checking takes about 100 s at
-# 100k elements/s.  Every start index, which the table stores plus 1 in an
-# unsigned 4-byte slot, stays below 2**32 - 1.
-MAX_CAP = 10_000_000
-
-# The most rows at which the middle rank can fit `MAX_CAP`.  Past it
+# The most rows at which the middle rank can fit `DEFAULT_CAP`.  Past it
 # `verify` skips `middle-rank-count` without computing the middle rank's
 # size: for n >= 1 the rank holds at least C(m, m // 2) compositions (a fixed
 # base of parts below n, plus each 0/1 vector with m // 2 ones), and
-# C(26, 13) = 10,400,600.  Within it `MAX_CELLS` bounds n, so the size has
-# at most 191 digits and prints in decimal.
-MIDDLE_COUNT_MAX_M = 25
+# C(23, 11) = 1,352,078.  Within it `MAX_CELLS` bounds n, so the size has
+# at most 168 digits and prints in decimal.
+MIDDLE_COUNT_MAX_M = 22
 
 # Sampled-mode budgets: how many starts to sample, and how many chain
 # positions to probe per sampled chain.
@@ -58,6 +50,12 @@ POSITIONS_PER_CHAIN = 64
 # end to end on a 2-vCPU VM (Python 3.11.7); N(40, 2000), at 3.2 times the
 # limit, took 1.1 s to 1.5 s and N(200, 2000) did not finish in 20 s.
 MAX_STATS_WORK = 1_000_000
+
+# Past the cap `verify` samples min(SAMPLE_STARTS, max(1, SAMPLE_WORK // m))
+# chains, all 512 up to m = 128, each probed at up to 64 elements of m parts.
+# Cut runs took 27 to 35 us per chain per row: 1.7 s to 2.3 s end to end at
+# N(2000, 1), N(4400, 9), N(1000, 30000), N(200, 40) (2 vCPUs, Python 3.11.7).
+SAMPLE_WORK = 65_536
 
 
 class LevelProfile(Frozen):
@@ -399,13 +397,15 @@ def _check_involution(v: _StartValue) -> dict | None:
         image = psi(v.sv)
     except NotStartVectorError:
         return {"alpha": list(parts), "reason": "psi(alpha) is not a start vector"}
-    try:
-        again = psi(image)
-    except NotStartVectorError:
-        return {"alpha": list(parts), "psi": list(image.parts), "reason": "psi(psi(alpha)) is not a start vector"}
     iparts = image.parts
-    if again.parts != parts:
-        return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
+    # at a fixed point psi(image) is psi(alpha) again, which is image
+    if iparts != parts:
+        try:
+            again = psi(image)
+        except NotStartVectorError:
+            return {"alpha": list(parts), "psi": list(iparts), "reason": "psi(psi(alpha)) is not a start vector"}
+        if again.parts != parts:
+            return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
     elements = v.elements
     mirror = _StartValue(image, elements if elements is None or iparts == parts else chain_elements(image).elements)
     if iparts[::-1] != v.greedy or mirror.greedy[::-1] != parts:
@@ -455,38 +455,39 @@ def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
 
 
 def _count_text(count: int, closed_form: str) -> str:
-    """`count` in decimal up to 4,300 digits, the most Python 3.11 (and 3.10
-    from 3.10.7) converts by default, and past them `closed_form`."""
-    return str(count) if count < 10**4300 else closed_form
+    """`count` in decimal up to `MAX_PART_DIGITS` digits, the most the
+    interpreter converts by default, and past them `closed_form`."""
+    return str(count) if count < 10**MAX_PART_DIGITS else closed_form
 
 
-def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STARTS) -> VerificationReport:
+def verify(shape: GridShape) -> VerificationReport:
     """Run the full verification battery and collect a report.
 
     `verify` runs in one of two modes, chosen by the poset size (n+1)**m.
-    Within `cap` it runs in full mode: every chain is checked whole, and the
-    partition oracle claims each element in a table of 4 bytes per
-    composition.  Past `cap` it runs in sampled mode: the oracle is refused
-    with a message, and the other checks run on the chains of the first
-    `sample` starts in lexicographic order.  A `sample` below 1 is refused,
-    since sampled checks over no chains would pass unexamined, and so is a
-    `sample` above `MAX_CAP` or a `cap` below 0 or above it, before
-    anything is allocated or any round trip runs.
+    Within `DEFAULT_CAP` it runs in full mode: every chain is checked whole,
+    and the partition oracle claims each element in a table of 4 bytes per
+    composition.  Past the cap it runs in sampled mode: the oracle is
+    refused with a message, and the other checks run on the chains of the
+    first `sample` starts in lexicographic order: `SAMPLE_STARTS`, cut to
+    `SAMPLE_WORK // m` (at least 1) so that the work is bounded at every m,
+    and each chain check's message says when it is cut.  The constants are
+    read at each call.
 
     Every check runs in one streaming pass over the starts.  In full mode
     the pass reads the chains of `decompose`, each built once, claims each
     in the partition table, and counts every start.  In sampled mode it
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
-    Past `MIDDLE_COUNT_MAX_M` rows the middle rank exceeds every cap, so
-    its size is not computed and its count is skipped.
+    Past `MIDDLE_COUNT_MAX_M` rows the middle rank exceeds the cap, so its
+    size is not computed and its count is skipped.
     A check stops at its first counterexample in start order, but the pass
     reads the whole stream.  A finish step runs after the stream for a
     check still passing: the partition's sweep for a slot left unclaimed,
-    and `disjoint`'s `sample` seeded random round trips through `locate` and
-    `chain_contains`.  Every step is charged to its own check, the middle
-    rank's size too when its count is skipped, and each start's value to
-    the first check still running, so no interval is charged twice.
+    and `disjoint`'s `sample` (in full mode `SAMPLE_STARTS`) seeded random
+    round trips through `locate` and `chain_contains`.  Every step is
+    charged to its own check, the middle rank's size too when its count is
+    skipped, and each start's value to the first check still running, so
+    no interval is charged twice.
     Reports from repeated runs are identical apart from timings.
 
     A vector the start enumeration yields that `StartVector` refuses is a
@@ -527,17 +528,10 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
         claimed twice.  Every other start runs every check; with a true
         involution that is each smaller or self-paired start.
     """
-    if sample < 1:
-        raise ValueError(f"sample must be at least 1, got {sample}")
-    if sample > MAX_CAP:
-        raise ValueError(f"sample {sample} exceeds the limit of {MAX_CAP}")
-    if cap < 0:
-        raise ValueError(f"cap must be at least 0, got {cap}")
-    if cap > MAX_CAP:
-        raise ValueError(f"cap {cap} exceeds the limit of {MAX_CAP}")
     clock = time.perf_counter
-    poset_size = shape.size
+    cap, poset_size = DEFAULT_CAP, shape.size
     full = poset_size <= cap
+    sample = SAMPLE_STARTS if full else min(SAMPLE_STARTS, max(1, SAMPLE_WORK // shape.m))
     names = ("partition", *_CHAIN_CHECKS, "middle-rank-count")
     report = VerificationReport(shape, [CheckResult(name, True) for name in names], None, poset_size if full else None)
     partition, *chain_checks, middle = report.checks
@@ -581,8 +575,11 @@ def verify(shape: GridShape, *, cap: int = DEFAULT_CAP, sample: int = SAMPLE_STA
                 record.passed, record.counterexample = False, {"alpha": list(exc.parts), "reason": "not a start vector"}
                 break
 
+    sampled = "" if full else f"sampled {count} chains"
+    if sample < SAMPLE_STARTS:
+        sampled += f", cut from {SAMPLE_STARTS} by the work bound {SAMPLE_WORK} // m"
     for record in chain_checks:
-        record.message = "" if full else f"sampled {count} chains"
+        record.message = sampled
     if full and partition.passed:
         t0 = clock()
         bad = claims.missing()

@@ -194,6 +194,16 @@ def plant(monkeypatch, home, name, make_fault):
     return original
 
 
+def verify_with(monkeypatch, shape, **constants):
+    """`verify(shape)` with the named module constants of
+    `scdposet.decompose` set first, e.g. `DEFAULT_CAP=0` to sample a grid
+    that would otherwise run in full mode."""
+    module = importlib.import_module("scdposet.decompose")
+    for name, value in constants.items():
+        monkeypatch.setattr(module, name, value)
+    return module.verify(shape)
+
+
 def record_checks(monkeypatch, *classes):
     """Record, per class, the parts of every value whose construction check runs."""
     found = {cls: [] for cls in classes}

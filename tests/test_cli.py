@@ -338,8 +338,11 @@ class TestVerifyCommand:
         names = {c["name"]: c for c in json.loads(out)["checks"]}
         assert names["partition"]["passed"] and not names["partition"]["skipped"]
 
-    def test_oracle_flag_changes_nothing_past_the_cap(self, capsys):
-        args = ("verify", "-m", "6", "-n", "6", "--cap", "50", "--sample", "16")
+    def test_oracle_flag_changes_nothing_past_the_cap(self, capsys, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+        monkeypatch.setattr(module, "DEFAULT_CAP", 50)
+        monkeypatch.setattr(module, "SAMPLE_STARTS", 16)
+        args = ("verify", "-m", "6", "-n", "6")
         code, out, _ = run(capsys, *args)
         assert code == 0
         code, with_flag, _ = run(capsys, *args, "--oracle")
@@ -350,7 +353,7 @@ class TestVerifyCommand:
         assert names["partition"]["message"].endswith("oracle mode refused")
 
     def test_failing_report_exits_2(self, capsys, monkeypatch):
-        def fake_verify(shape, **kwargs):
+        def fake_verify(shape):
             report = VerificationReport(shape)
             report.checks.append(CheckResult("partition", False, 0.0, {"element": [0]}))
             return report
@@ -365,55 +368,30 @@ class TestVerifyCommand:
         # failed report, not a bad-input error
         shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
         monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
-        code, out, err = run(capsys, "verify", "-m", "2", "-n", "200000", "--sample", "4")
+        monkeypatch.setattr(importlib.import_module("scdposet.decompose"), "SAMPLE_STARTS", 4)
+        code, out, err = run(capsys, "verify", "-m", "2", "-n", "200000")
         assert code == 2
         assert err == ""
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["involution"]["counterexample"]["reason"] == "psi(alpha) is not a start vector"
 
-    def test_sampled_verify_runs_on_a_thousand_row_grid(self, capsys):
+    def test_sampled_verify_runs_on_a_thousand_row_grid(self, capsys, monkeypatch):
         # the starting set is enumerated without one stack frame per row
-        code, out, err = run(capsys, "verify", "-m", "1200", "-n", "1", "--sample", "1")
+        monkeypatch.setattr(importlib.import_module("scdposet.decompose"), "SAMPLE_STARTS", 1)
+        code, out, err = run(capsys, "verify", "-m", "1200", "-n", "1")
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
-    def test_sample_zero_rejected(self, capsys):
-        code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "0")
-        assert code == 1
-        assert out == ""
-        assert err == "error: sample must be at least 1, got 0\n"
-
-    def test_negative_sample_rejected(self, capsys):
-        code, out, err = run(capsys, "verify", "-m", "40", "-n", "40", "--sample", "-3")
-        assert code == 1
-        assert out == ""
-        assert err == "error: sample must be at least 1, got -3\n"
-
-    def test_sample_above_the_limit_rejected_before_any_round_trip(self, capsys, monkeypatch):
-        module = importlib.import_module("scdposet.decompose")
-
-        def refuse(shape, count):
-            raise AssertionError(f"{count} round trips run for {shape}")
-
-        monkeypatch.setattr(module, "_random_roundtrip", refuse)
-        assert_refused(capsys, "verify -m 2 -n 1 --sample 1000000000000")
-
-    def test_negative_cap_rejected(self, capsys):
-        code, out, err = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "-5")
-        assert code == 1
-        assert out == ""
-        assert err == "error: cap must be at least 0, got -5\n"
-        code, _, _ = run(capsys, "verify", "-m", "2", "-n", "1", "--cap", "0")
-        assert code == 0
-
-    def test_cap_above_the_limit_rejected_before_any_table(self, capsys, monkeypatch):
-        module = importlib.import_module("scdposet.decompose")
-
+    def test_cap_and_sample_are_refused_before_any_check(self, capsys, monkeypatch):
+        # verify takes only a shape: its cap and sample are module constants
         def refuse(shape):
-            raise AssertionError(f"claim table built for {shape}")
+            raise AssertionError(f"verify ran for {shape}")
 
-        monkeypatch.setattr(module, "_ClaimTable", refuse)
-        assert_refused(capsys, "verify -m 10 -n 9 --cap 100000000000")
+        monkeypatch.setattr(cli, "verify", refuse)
+        rows = [row for row in REFUSALS if row.startswith("verify ")]
+        assert len(rows) == 2
+        for row in rows:
+            assert_refused(capsys, row)
 
     @staticmethod
     def _without_seconds(out):
@@ -422,12 +400,14 @@ class TestVerifyCommand:
             del check["seconds"]
         return payload
 
-    @pytest.mark.parametrize("argv", ["verify -m 3 -n 2", "verify -m 3 -n 2 --cap 0 --sample 100"])
-    def test_enumerated_non_start_fails_the_report(self, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("cap", [None, 0], ids=["full", "sampled"])
+    def test_enumerated_non_start_fails_the_report(self, capsys, monkeypatch, cap):
         # a start the enumeration yields is no input: its refusal is a failed
         # check naming it, not exit 1
         plant(monkeypatch, *FAULTS["iter_start_parts yielding a non-start"])
-        code, out, err = run(capsys, *argv.split())
+        if cap is not None:
+            monkeypatch.setattr(importlib.import_module("scdposet.decompose"), "DEFAULT_CAP", cap)
+        code, out, err = run(capsys, "verify", "-m", "3", "-n", "2")
         assert (code, err) == (2, "")
         symmetric = {c["name"]: c for c in json.loads(out)["checks"]}["symmetric"]
         assert symmetric["counterexample"] == {"alpha": [1, 2, 0], "reason": "not a start vector"}

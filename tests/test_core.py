@@ -69,6 +69,25 @@ class TestShapeAndComposition:
         with pytest.raises(TypeError, match="is not an int"):
             Composition(GridShape(2, 3), parts)
 
+    @pytest.mark.parametrize(
+        "parts, error, message",
+        [
+            # 1.0 == 1, so the position is found by identity, not equality
+            ((1, 1.0), TypeError, "part 2 (1.0) is not an int"),
+            ((0, 4), ValueError, "part 2 (4) is outside [0, 3]"),
+            ((10**20 - 1, 0), ValueError, "part 1 (99999999999999999999) is outside [0, 3]"),
+            ((0, -(10**20)), ValueError, "part 2 (a 21-digit number) is outside [0, 3]"),
+            ((10**4300 - 1, 0), ValueError, "part 1 (a 4300-digit number) is outside [0, 3]"),
+        ],
+        ids=["float", "above-n", "20-digits", "21-digits", "4300-digits"],
+    )
+    def test_refusal_names_the_part_and_not_the_vector(self, parts, error, message):
+        # a value past 20 digits is shown by its digit count, so the message
+        # stays one short line however long the part or the vector
+        with pytest.raises(error) as refused:
+            Composition(GridShape(2, 3), parts)
+        assert str(refused.value) == message
+
     def test_part_count_must_match(self):
         with pytest.raises(ValueError):
             Composition(GridShape(3, 2), (1, 2))

@@ -29,6 +29,7 @@ from conftest import (
     plant,
     record_checks,
     shift_one_forbidden_cell,
+    verify_with,
     walk_editing_keyed_chain,
 )
 
@@ -174,8 +175,8 @@ class TestVerify:
         assert not result.passed
         assert result.counterexample["element"] == list(victim.elements[-1])
 
-    def test_cap_exceeded_skips_oracle_but_runs_rest(self):
-        report = verify(GridShape(4, 4), cap=100)
+    def test_cap_exceeded_skips_oracle_but_runs_rest(self, monkeypatch):
+        report = verify_with(monkeypatch, GridShape(4, 4), DEFAULT_CAP=100)
         partition = report.check("partition")
         assert partition.skipped
         assert "exceeds cap" in partition.message
@@ -183,56 +184,22 @@ class TestVerify:
         assert "random round trips" in report.check("disjoint").message
         assert report.passed
 
-    def test_negative_cap_rejected(self):
-        with pytest.raises(ValueError, match=r"^cap must be at least 0, got -5$"):
-            verify(GridShape(2, 1), cap=-5)
-        report = verify(GridShape(2, 1), cap=0)
-        assert report.passed
-        assert report.check("partition").skipped
-        assert report.check("middle-rank-count").skipped
-
-    def test_cap_above_the_limit_refused_before_any_table(self, monkeypatch):
-        # a cap past MAX_CAP would let the claim table take 4 bytes per
-        # composition, 40 GB here, and start indices overflow its slots
-        module = importlib.import_module("scdposet.decompose")
-        assert module.MAX_CAP <= 2**32 - 1
-        report = verify(GridShape(2, 1), cap=module.MAX_CAP)
-        assert report.passed and not report.check("partition").skipped
-
-        def refuse(shape):
-            raise AssertionError(f"claim table built for {shape}")
-
-        monkeypatch.setattr(module, "_ClaimTable", refuse)
-        with pytest.raises(ValueError, match=rf"^cap {10**11} exceeds the limit of {module.MAX_CAP}$"):
-            verify(GridShape(10, 9), cap=10**11)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            verify(GridShape(2, 1), cap=module.MAX_CAP + 1)
-
-    def test_sample_above_the_limit_refused_before_any_round_trip(self, monkeypatch):
-        module = importlib.import_module("scdposet.decompose")
-
-        def refuse(shape, count):
-            raise AssertionError(f"{count} round trips run for {shape}")
-
-        monkeypatch.setattr(module, "_random_roundtrip", refuse)
-        with pytest.raises(ValueError, match=rf"^sample {10**12} exceeds the limit of {module.MAX_CAP}$"):
-            verify(GridShape(2, 1), sample=10**12)
-        with pytest.raises(ValueError, match="exceeds the limit"):
-            verify(GridShape(2, 1), sample=module.MAX_CAP + 1)
-
     def test_oracle_cannot_be_disabled(self):
         # within the cap the partition oracle always runs, and verify takes
-        # no positional argument after the shape that could turn it off
+        # no argument after the shape that could turn it off
         report = verify(GridShape(2, 2))
         partition = report.check("partition")
         assert partition.passed and not partition.skipped and partition.message == ""
         assert report.passed
         with pytest.raises(TypeError):
             verify(GridShape(2, 2), False)
+        for name in ("cap", "sample"):
+            with pytest.raises(TypeError):
+                verify(GridShape(2, 2), **{name: 1})
 
     @pytest.mark.parametrize("cap, full", [(9, True), (8, False)])
-    def test_cap_is_inclusive(self, cap, full):
-        report = verify(GridShape(2, 2), cap=cap)
+    def test_cap_is_inclusive(self, monkeypatch, cap, full):
+        report = verify_with(monkeypatch, GridShape(2, 2), DEFAULT_CAP=cap)
         partition = report.check("partition")
         assert report.passed
         if full:
@@ -243,11 +210,43 @@ class TestVerify:
             assert partition.message == "poset size 9 exceeds cap 8; oracle mode refused"
             assert (report.chain_count, report.element_count) == (None, None)
 
-    def test_counts_past_the_decimal_limit_are_printed_in_closed_form(self):
+    @pytest.mark.parametrize("work, chains", [(1, 1), (12 * 8 + 5, 8), (12 * 512 - 1, 511), (12 * 512, 512)])
+    def test_work_bound_sizes_the_sample_and_says_when_it_cuts(self, monkeypatch, work, chains):
+        # past the cap N(12, 9) reads min(512, max(1, work // 12)) chains and
+        # runs as many round trips
+        module = importlib.import_module("scdposet.decompose")
+        roundtrip, trips = module._random_roundtrip, []
+
+        def counting(shape, count):
+            trips.append(count)
+            return roundtrip(shape, count)
+
+        monkeypatch.setattr(module, "_random_roundtrip", counting)
+        report = verify_with(monkeypatch, GridShape(12, 9), SAMPLE_WORK=work)
+        assert report.passed and trips == [chains]
+        message = f"sampled {chains} chains" + (f", cut from 512 by the work bound {work} // m" if chains < 512 else "")
+        for name in ("symmetric", "saturated", "involution", "corollary-vs-simulation"):
+            assert report.check(name).message == message
+        assert report.check("disjoint").message == f"{message}; {chains} random round trips"
+
+    def test_full_mode_is_never_cut(self, monkeypatch):
+        # every full-mode shape has at most 19 rows, where the default bound
+        # allows every chain; even a bound of 1 leaves full mode its 512
+        # round trips
+        module = importlib.import_module("scdposet.decompose")
+        widest = max(m for m in range(1, 64) if 2**m <= module.DEFAULT_CAP)
+        assert widest == 19 and module.SAMPLE_WORK // widest >= module.SAMPLE_STARTS
+        trips = []
+        monkeypatch.setattr(module, "_random_roundtrip", lambda shape, count: trips.append(count))
+        report = verify_with(monkeypatch, GridShape(4, 4), SAMPLE_WORK=1)
+        assert report.passed and trips == [512]
+        assert all(c.message == "" for c in report.checks)
+
+    def test_counts_past_the_decimal_limit_are_printed_in_closed_form(self, monkeypatch):
         # 30001**1000 has 4,478 digits, more than the interpreter converts to
         # decimal by default; at 1,000 rows the middle rank's size is never
         # computed
-        report = verify(GridShape(1000, 30000), sample=1)
+        report = verify_with(monkeypatch, GridShape(1000, 30000), SAMPLE_STARTS=1)
         assert report.passed
         assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
         partition = report.check("partition")
@@ -263,7 +262,7 @@ class TestVerify:
             raise AssertionError(f"middle rank size computed for {shape}")
 
         monkeypatch.setattr(module, "middle_level_size", refuse)
-        report = verify(GridShape(4400, 9), sample=1)
+        report = verify_with(monkeypatch, GridShape(4400, 9), SAMPLE_STARTS=1)
         assert report.passed
         assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
         middle = report.check("middle-rank-count")
@@ -272,21 +271,23 @@ class TestVerify:
     def test_middle_rank_fits_the_cap_limit_up_to_the_row_bound(self):
         module = importlib.import_module("scdposet.decompose")
         m = module.MIDDLE_COUNT_MAX_M
-        assert middle_level_size(GridShape(m, 1)) <= module.MAX_CAP < comb(m + 1, (m + 1) // 2)
+        assert middle_level_size(GridShape(m, 1)) <= module.DEFAULT_CAP < comb(m + 1, (m + 1) // 2)
 
-    @pytest.mark.parametrize("m", [25, 26])
-    def test_middle_rank_row_bound_is_inclusive(self, m):
-        middle = verify(GridShape(m, 1), cap=0, sample=1).check("middle-rank-count")
+    @pytest.mark.parametrize("m", [22, 23])
+    def test_middle_rank_row_bound_is_inclusive(self, monkeypatch, m):
+        report = verify_with(monkeypatch, GridShape(m, 1), DEFAULT_CAP=0, SAMPLE_STARTS=1)
+        middle = report.check("middle-rank-count")
         assert middle.skipped and middle.passed
-        if m == 25:
-            assert middle.message == f"middle rank size {comb(25, 12)} exceeds cap 0"
+        if m == 22:
+            assert middle.message == f"middle rank size {comb(22, 11)} exceeds cap 0"
         else:
-            assert middle.message == "middle rank size at least C(26, 13) exceeds cap 0"
+            assert middle.message == "middle rank size at least C(23, 11) exceeds cap 0"
 
-    def test_middle_rank_of_a_long_two_row_grid_is_counted(self):
+    def test_middle_rank_of_a_long_two_row_grid_is_counted(self, monkeypatch):
         # m*m*n is past the stats limit, but the middle rank, 300,001
         # compositions, fits the cap
-        middle = verify(GridShape(2, 300000), sample=1).check("middle-rank-count")
+        report = verify_with(monkeypatch, GridShape(2, 300000), SAMPLE_STARTS=1)
+        middle = report.check("middle-rank-count")
         assert middle.passed and not middle.skipped
 
     @pytest.mark.parametrize("digits", [4300, 4301])
@@ -304,28 +305,29 @@ class TestVerify:
             return size(shape)
 
         monkeypatch.setattr(module, "middle_level_size", slow_size)
-        middle = verify(GridShape(2, 2), cap=0, sample=1).check("middle-rank-count")
+        middle = verify_with(monkeypatch, GridShape(2, 2), DEFAULT_CAP=0, SAMPLE_STARTS=1).check("middle-rank-count")
         assert middle.skipped
         assert middle.seconds >= 0.05
 
     @pytest.mark.parametrize("shape, sample", [(GridShape(4, 4), 512), (GridShape(12, 9), 64)])
-    def test_check_seconds_add_up_to_no_more_than_the_wall_time(self, shape, sample):
+    def test_check_seconds_add_up_to_no_more_than_the_wall_time(self, monkeypatch, shape, sample):
+        monkeypatch.setattr(importlib.import_module("scdposet.decompose"), "SAMPLE_STARTS", sample)
         t0 = time.perf_counter()
-        report = verify(shape, sample=sample)
+        report = verify(shape)
         wall = time.perf_counter() - t0
         assert report.passed
         assert all(c.seconds >= 0 for c in report.checks)
         assert sum(c.seconds for c in report.checks) <= wall
 
-    def test_middle_count_skipped_past_cap(self):
-        report = verify(GridShape(6, 6), cap=50, sample=16)
+    def test_middle_count_skipped_past_cap(self, monkeypatch):
+        report = verify_with(monkeypatch, GridShape(6, 6), DEFAULT_CAP=50, SAMPLE_STARTS=16)
         assert report.check("middle-rank-count").skipped
         assert report.passed
 
-    def test_sampled_mode_is_deterministic(self):
+    def test_sampled_mode_is_deterministic(self, monkeypatch):
         shape = GridShape(4, 5)
-        a = verify(shape, cap=100, sample=32).to_dict()
-        b = verify(shape, cap=100, sample=32).to_dict()
+        a = verify_with(monkeypatch, shape, DEFAULT_CAP=100, SAMPLE_STARTS=32).to_dict()
+        b = verify_with(monkeypatch, shape, DEFAULT_CAP=100, SAMPLE_STARTS=32).to_dict()
         for check in a["checks"] + b["checks"]:
             del check["seconds"]
         assert a == b
@@ -338,8 +340,8 @@ class TestVerify:
         # stay plain tuples, so the only Compositions are those of the
         # start, psi(start) and psi(psi(start)), and the one random input
         # of each of disjoint's 512 round trips.  psi runs twice at each of
-        # the 55 smaller-or-self starts of N(4, 4)'s 30 pairs and 25 fixed
-        # points, and not at all at the 30 larger starts
+        # the 30 smaller starts of N(4, 4)'s psi pairs, once at each of its
+        # 25 fixed points, and not at all at the 30 larger starts
         module = importlib.import_module("scdposet.decompose")
         built = Counter()
         fn = module.chain_elements
@@ -372,7 +374,7 @@ class TestVerify:
         starts = report.chain_count
         assert starts == 85
         assert built["chain_elements"] <= starts + (starts + 1) // 2
-        assert built["psi"] == 110
+        assert built["psi"] == 85
         assert validated["compositions"] <= 3 * starts + module.SAMPLE_STARTS
 
     def test_symmetric_catches_wrong_end_vector(self, monkeypatch):
@@ -392,7 +394,7 @@ class TestVerify:
         monkeypatch.setattr(scdposet.tableau, "build_tableau", refuse)
         tracemalloc.start()
         try:
-            report = verify(GridShape(2, 200000), sample=1)
+            report = verify_with(monkeypatch, GridShape(2, 200000), SAMPLE_STARTS=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -408,7 +410,7 @@ class TestVerify:
         # counts, on a 400,000-cell grid that is sampled, not enumerated
         shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
         monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
-        report = verify(GridShape(2, 200000), sample=4)
+        report = verify_with(monkeypatch, GridShape(2, 200000), SAMPLE_STARTS=4)
         corollary = report.check("corollary-vs-simulation")
         assert not corollary.skipped
         assert not corollary.passed
@@ -420,7 +422,7 @@ class TestVerify:
         # vector to (0, 1), which is no start; verify reports it, not raises
         shifted = shift_one_forbidden_cell(scdposet.starts.alpha_end_parts)
         monkeypatch.setattr(scdposet.starts, "alpha_end_parts", shifted)
-        report = verify(GridShape(2, 200000), sample=4)
+        report = verify_with(monkeypatch, GridShape(2, 200000), SAMPLE_STARTS=4)
         involution = report.check("involution")
         assert not involution.skipped
         assert not involution.passed
@@ -441,7 +443,9 @@ class TestVerify:
 
     def test_involution_reports_psi_image_that_psi_refuses(self, monkeypatch):
         # a psi that certifies a start's image but refuses to map an image
-        # it made: the first start of the pass is the counterexample
+        # it made: the first start of a pair is the counterexample.  At the
+        # fixed point 0 before it psi(psi(0)) is psi(0), which is not built
+        # twice
         module = importlib.import_module("scdposet.decompose")
         psi = module.psi
         images = []
@@ -455,8 +459,8 @@ class TestVerify:
         monkeypatch.setattr(module, "psi", psi_once)
         involution = verify(GridShape(3, 3)).check("involution")
         assert involution.counterexample == {
-            "alpha": [0, 0, 0],
-            "psi": [0, 0, 0],
+            "alpha": [0, 1, 0],
+            "psi": [1, 0, 0],
             "reason": "psi(psi(alpha)) is not a start vector",
         }
 
@@ -520,7 +524,7 @@ class TestVerify:
         # round trips, which probe membership by random access, can fail
         module = importlib.import_module("scdposet.decompose")
         monkeypatch.setattr(module, "chain_contains", lambda sv, c: False)
-        disjoint = verify(GridShape(4, 4), cap=100, sample=8).check("disjoint")
+        disjoint = verify_with(monkeypatch, GridShape(4, 4), DEFAULT_CAP=100, SAMPLE_STARTS=8).check("disjoint")
         assert disjoint.message == "sampled 8 chains; 8 random round trips"
         assert not disjoint.passed
         element = disjoint.counterexample["element"]
@@ -592,8 +596,8 @@ class TestSaturatedCheck:
 
     @pytest.mark.parametrize(
         "edits",
-        [[], [("sideways", 2)], [("gap", 6)], [("sideways", 9), ("gap", 4)], [("gap", 3), ("sideways", 10)]],
-        ids=["intact", "sideways", "gap", "gap-first", "gap-then-sideways"],
+        [[], [("sideways", 2)], [("gap", 6)], [("sideways", 9), ("gap", 4)], [("gap", 3), ("sideways", 10)], [("sideways", 16)]],
+        ids=["intact", "sideways", "gap", "gap-first", "gap-then-sideways", "last-pair"],
     )
     def test_counterexample_is_the_first_bad_step(self, edits):
         module = importlib.import_module("scdposet.decompose")
@@ -770,7 +774,7 @@ class TestVerifyPass:
 
         monkeypatch.setattr(module, "locate_parts", counting)
         shape = GridShape(4, 4)
-        report = verify(shape) if mode == "full" else verify(shape, cap=0, sample=85)
+        report = verify(shape) if mode == "full" else verify_with(monkeypatch, shape, DEFAULT_CAP=0, SAMPLE_STARTS=85)
         assert report.passed
         ends = [ch.elements[-1] for ch in decompose(shape)]
         covers = sum(p < shape.n for end in ends for p in end)
@@ -892,7 +896,7 @@ class TestVerifyPass:
         assert report.check("middle-rank-count").counterexample == {"chain_count": 6, "middle_level_size": 7}
 
     def test_sampled_mode_enumerates_the_starts_once(self, monkeypatch):
-        # past the cap the pass checks the first `sample` starts, and the
+        # past the cap the pass checks the first starts it samples, and the
         # same enumeration goes on to count the middle rank, which fits
         module = importlib.import_module("scdposet.decompose")
         calls = []
@@ -903,7 +907,7 @@ class TestVerifyPass:
             return iter_start_parts(shape)
 
         monkeypatch.setattr(module, "iter_start_parts", logged_starts)
-        report = verify(GridShape(4, 4), cap=100, sample=8)
+        report = verify_with(monkeypatch, GridShape(4, 4), DEFAULT_CAP=100, SAMPLE_STARTS=8)
         assert calls == [GridShape(4, 4)]
         assert report.passed and report.check("symmetric").message == "sampled 8 chains"
         middle = report.check("middle-rank-count")
@@ -920,7 +924,7 @@ class TestVerifyPass:
                 yield from (parts, parts)
 
         monkeypatch.setattr(module, "iter_start_parts", doubled_starts)
-        report = verify(GridShape(3, 3), cap=50, sample=512)
+        report = verify_with(monkeypatch, GridShape(3, 3), DEFAULT_CAP=50)
         assert report.check("symmetric").message == "sampled 24 chains"
         middle = report.check("middle-rank-count")
         assert not middle.passed and not middle.skipped

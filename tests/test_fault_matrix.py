@@ -12,14 +12,15 @@ import pytest
 
 from scdposet import GridShape, decompose, verify
 
-from conftest import FAULTS, middle_non_start, plant
+from conftest import FAULTS, middle_non_start, plant, verify_with
 
+# mode -> shape and the constants of `scdposet.decompose` set for it
 MODES = {
-    "full": lambda: verify(GridShape(4, 4)),
+    "full": (GridShape(4, 4), {}),
     # an odd top rank: every chain has an even length, none is one middle
     # element, and m > n
-    "full-odd-rank": lambda: verify(GridShape(5, 3)),
-    "sampled": lambda: verify(GridShape(12, 9), sample=64),
+    "full-odd-rank": (GridShape(5, 3), {}),
+    "sampled": (GridShape(12, 9), {"SAMPLE_STARTS": 64}),
 }
 
 ALPHA_END = {"symmetric", "disjoint", "involution", "corollary-vs-simulation"}
@@ -62,7 +63,8 @@ def test_every_fault_fails_full_mode():
 @pytest.mark.parametrize("fault", list(FAULTS))
 def test_fault_fails_exactly_its_checks(monkeypatch, fault, mode):
     plant(monkeypatch, *FAULTS[fault])
-    report = MODES[mode]()
+    shape, constants = MODES[mode]
+    report = verify_with(monkeypatch, shape, **constants)
     failing = {c.name for c in report.checks if not c.passed and not c.skipped}
     full, sampled = MATRIX[fault]
     assert failing == (sampled if mode == "sampled" else full)
@@ -103,7 +105,7 @@ def test_upper_cover_locating_to_its_chain_start_is_caught(monkeypatch, mode):
         return lambda c, n: alpha if tuple(c) == cover else original(c, n)
 
     plant(monkeypatch, "locate", "locate_parts", extending)
-    report = verify(shape) if mode == "full" else verify(shape, cap=0, sample=85)
+    report = verify(shape) if mode == "full" else verify_with(monkeypatch, shape, DEFAULT_CAP=0, SAMPLE_STARTS=85)
     failing = {c.name for c in report.checks if not c.passed and not c.skipped}
     if mode == "full":
         assert "disjoint" in failing

@@ -81,31 +81,28 @@ STDOUT_DIGESTS = {
 REPORT_DIGESTS = {
     # full mode at the verify-oracle workload's shape, partition oracle included
     "verify -m 8 -n 3 --oracle": "a6a1e368603a6243f67cf8caf24ae2a0c0b597a17d31986d37ee5d7a27d0ef29",
-    # sampled mode past the cap, with the middle rank counted along the enumeration
-    "verify -m 12 -n 9 --sample 64": "a3187b44891ff50a898d5c6986e4ee5286fe86ce6fe666b7e11626cb1ecb049a",
+    # sampled mode past the cap, whose middle rank of 39,581,170,420 is past the cap too
+    "verify -m 12 -n 9": "939f613a4c22ee53ee2636d0f3a64e998fabc61f3afaf8f641ae5d85a598814d",
     # sampled on a 400,000-cell grid, no per-chain check skipped
-    "verify -m 2 -n 200000 --sample 1": "88d69ceb4249e6149fa1c8d1c2200ac8dd7032d24efdfe2a6412df9db92cda53",
-    # sampled on a 2,000-row grid, its starts enumerated without recursion
-    "verify -m 2000 -n 1 --sample 1": "5c7b35e36e42844fbfa62a3a11cf85acc461026df5e3b22bd5aa15a03cb437bd",
-    # past the decimal limit and past 25 rows only partition and middle-rank-count are skipped
-    "verify -m 1000 -n 30000 --sample 1": "ce2be4732728e05976d874da917c2f725e474bd273003d33fb7e234bfa484cea",
-    "verify -m 4400 -n 9 --sample 1": "6771fd2eaabf0a1893fad716d88564923f34403b885bd2fa4a7c288fbbc55571",
+    "verify -m 2 -n 200000": "2e7217ce85582d0d4a738694951dac98e3a8e952920c8dd92e4c42a45c10158a",
+    # sampled on a 2,000-row grid, its starts enumerated without recursion; here
+    # and below the work bound cuts the sample to SAMPLE_WORK // m chains
+    "verify -m 2000 -n 1": "d0005789d5c081769734804f69a8a28fda010e960a51d29f51de3c96565319c2",
+    # past the decimal limit and past 22 rows only partition and middle-rank-count are skipped
+    "verify -m 1000 -n 30000": "2a2e83e1da86a9c5412e322d415e9b87f733255a2b7f4b682e78d4a3c5c6da3f",
+    "verify -m 4400 -n 9": "1b9524829508d0c16a091942657a66f64fdb7c3f4b0765ba145da03070545a46",
     # sampled past the cap, the middle rank counted along its one enumeration
-    "verify -m 8 -n 5 --sample 4": "76cf02a1364fa72eeaeaef03bc3448ec06bc9b4013ad4c09f8b8aa5b5255a703",
+    "verify -m 8 -n 5": "cca2bb0e1ac95e184d0bdddd3bd5080a9e362d36d942b5ee0998424b6e9f6cf5",
     # the partition oracle runs without --oracle
     "verify -m 4 -n 4": "e70c84ee7d7b7bccc06abc0cd117caf6668c726b5fdb4ea8c6421c92fc10a8f9",
     # full mode, every check run and passed
     "verify -m 4 -n 3 --oracle": "8d51e9995e5901c46bbf0d1ae2f6245a259a68c42b7c3ff27ff1553d6fc2c9fd",
-    # sampled, with partition and middle-rank-count skipped past a cap of 50
-    "verify -m 6 -n 6 --cap 50 --sample 16": "36842602716b8e08fa2888b6dd583d37d81b50b38ee87631a9dc6c6a63291d24",
-    # 625 compositions exceed the cap, but the middle rank's 85 do not
-    "verify -m 4 -n 4 --cap 100 --sample 8": "18bb80772b4f5a9c32b57a73d0774287034d1d5d46ea771c33c75c0949b155cf",
 }
 
 REFUSALS = {
-    "verify -m 10 -n 9 --cap 100000000000": "error: cap 100000000000 exceeds the limit of 10000000",
-    "verify -m 1 -n 99999999 --cap 100000000": "error: cap 100000000 exceeds the limit of 10000000",
-    "verify -m 2 -n 1 --sample 1000000000000": "error: sample 1000000000000 exceeds the limit of 10000000",
+    # verify takes only a shape
+    "verify -m 2 -n 1 --cap 5": "error: unrecognized arguments: --cap 5",
+    "verify -m 2 -n 1 --sample 5": "error: unrecognized arguments: --sample 5",
     "render --alpha 0,0 -n 100000000": "error: grid of 200000000 cells exceeds the render limit of 100000",
     "stats -m 2 -n 1000000000": "error: m*m*n = 4000000000 exceeds the stats limit of 1000000",
     "starts -m 2 -n 1073741825": "error: grid shape too large: 2*1073741825 cells exceeds 2147483648",
@@ -113,6 +110,9 @@ REFUSALS = {
     "chain --alpha 0,1,2,0 -n 2": "error: (0, 1, 2, 0) is not a start vector for n=2",
     # a part past the 4,300 digits the interpreter converts to int
     f"chain --alpha {'1' * 5000},0 -n 1": "error: part 1 has 5000 digits, more than the limit of 4300",
+    # a part out of range is named by its position, and by its digit count past 20 digits
+    f"locate --c {'1' * 4300} -n 1": "error: part 1 (a 4300-digit number) is outside [0, 1]",
+    f"locate --c {joined([1] * 3000 + [2])} -n 1": "error: part 3001 (2) is outside [0, 1]",
 }
 
 RSS_CEILINGS_MB = {
@@ -224,6 +224,11 @@ def test_refusal(command):
     argv = [sys.executable, "-m", "scdposet.cli", *command.split()]
     proc = run_limited(argv, env=dict(os.environ, PYTHONPATH=src))
     assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", REFUSALS[command] + "\n")
+
+
+def test_refusal_lines_are_short():
+    # a refusal names the offending value, never the whole input
+    assert all(len(line) < 200 for line in REFUSALS.values())
 
 
 def test_peak_rss_counts_the_child_alone():

@@ -91,7 +91,7 @@ class TestRenderAscii:
             ("alpha=0,0 alphaE=9,9,9 junk\n  1   2\n  3   4", "header line"),
             ("alpha=0,0\n  3   4\n  1   2", "header line"),
             ("alpha=0,0 alphaE=0\n  3   4\n  1   2", "header 'alpha=0,0 alphaE=0' is not 'alpha=0,0 alphaE=0,0'"),
-            ("alpha=5,5 alphaE=0,0\n  G   G\n  G   G", r"part 5 outside \[0, 2\] in \(5, 5\)"),
+            ("alpha=5,5 alphaE=0,0\n  G   G\n  G   G", r"^part 1 \(5\) is outside \[0, 2\]$"),
             ("alpha=0,0 alphaE=0,1\n  3   4\n  1   2", "header 'alpha=0,0 alphaE=0,1' is not 'alpha=0,0 alphaE=0,0'"),
         ],
         ids=["extra-header-fields", "no-alphaE", "short-alphaE", "alpha-over-grid", "missing-forbidden-cell"],

@@ -156,9 +156,9 @@ class TestAlphaEnd:
     def test_computed_once_per_start_vector(self, monkeypatch):
         # StartVector construction is the one production site of the end
         # vector; chains, psi, certificates, verify and render read `.end`.
-        # verify builds the 85 starts, two psi images at each of the 55
-        # smaller-or-self starts of the 30 psi pairs and 25 fixed points,
-        # and the located start of each of disjoint's 512 round trips
+        # verify builds the 85 starts, two psi images at each of the 30
+        # smaller starts of the psi pairs and one at each of the 25 fixed
+        # points, and the located start of each of disjoint's 512 round trips
         calls = Counter()
         original = scdposet.starts.alpha_end_parts
 
@@ -178,13 +178,13 @@ class TestAlphaEnd:
         monkeypatch.setattr(StartVector, "__post_init__", constructing)
         shape = GridShape(4, 4)
         assert verify(shape).passed
-        assert calls == {"alpha_end_parts": 707, "StartVector": 707}
+        assert calls == {"alpha_end_parts": 682, "StartVector": 682}
         assert len(list(decompose(shape))) == 85
         sv = certificate(Composition.of((1, 3, 2, 2), 4)).alpha
         assert element_at(sv, 1).parts == (1, 2, 2, 1)
         assert psi(sv).parts == (2, 2, 1, 0)
         assert render_ascii(build_tableau(sv)).startswith("alpha=1,2,2,0 alphaE=0,1,2,2")
-        assert calls["StartVector"] == 707 + 85 + 2
+        assert calls["StartVector"] == 682 + 85 + 2
         assert calls["alpha_end_parts"] == calls["StartVector"]
 
     def test_first_entry_zero_and_total_is_rank(self, small_shape):

@@ -33,7 +33,7 @@ from scdposet.tableau import (
     strip_sources,
 )
 
-from conftest import SMALL_SHAPES, literal_grid
+from conftest import SMALL_SHAPES, all_parts, dbtk_chains, literal_grid
 
 SAMPLE_A = StartVector.of((2, 0, 5, 0), 6)
 SAMPLE_A_CHAIN = [
@@ -294,6 +294,16 @@ class TestElementAt:
         assert chain_contains(SAMPLE_A, Composition.of((2, 3, 6, 1), 6))
         assert not chain_contains(SAMPLE_A, Composition.of((2, 3, 5, 1), 6))
         assert not chain_contains(SAMPLE_A, Composition.of((1, 1, 1, 1), 6))
+
+    def test_chain_contains_exactly_its_chain(self, small_shape):
+        # every composition, below a chain's start and above its top too, is
+        # on the chain exactly when it is an element of the same chain of the
+        # independent decomposition
+        m, n = small_shape.m, small_shape.n
+        for chain in dbtk_chains(m, n):
+            sv, on = StartVector.of(chain[0], n), set(map(tuple, chain))
+            for parts in all_parts(m, n):
+                assert chain_contains(sv, Composition(small_shape, parts)) == (parts in on), (chain[0], parts)
 
 
 class TestRotation:
