@@ -21,7 +21,7 @@ from math import comb
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import MAX_PART_DIGITS, Composition, Frozen, GridShape, Record, _set
+from .core import Composition, Frozen, GridShape, Record, _set
 from .locate import locate, locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
 from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
@@ -339,26 +339,16 @@ class _StartValue:
 
 
 def _check_symmetric(v: _StartValue) -> dict | None:
-    """The chain ends at the complementary rank, on an element no upper cover of
-    which stays on the chain.  Membership is decided by `locate_parts`, which
-    does not use the end-vector formula the chain is built from.
-
-    The upper covers are located in sampled mode only (see `verify` for
-    why full mode skips them); the end locate and the rank test run
-    wherever the check does."""
+    """The chain ends at the complementary rank, on an element that locates
+    back to the chain's start.  Membership is decided by `locate_parts`,
+    which does not use the end-vector formula the chain is built from.  The
+    upper covers of the end are not located: `verify` says why the end
+    locates of earlier chains settle them."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
     if located != parts:
         return {"alpha": list(parts), "end": list(end), "located": list(located)}
-    if v.elements is None:
-        up = list(end)  # each upper cover in turn, one part raised in place
-        for i, p in enumerate(end):
-            if p < n:
-                up[i] = p + 1
-                if locate_parts(up, n) == parts:
-                    return {"alpha": list(parts), "end": list(end), "extends_to": up}
-                up[i] = p
     lo, hi = sum(parts), sum(end)
     if lo + hi != v.sv.shape.top_rank:
         return {"alpha": list(parts), "rank_start": lo, "rank_end": hi}
@@ -454,16 +444,11 @@ def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
     return None
 
 
-def _count_text(count: int, closed_form: str) -> str:
-    """`count` in decimal up to `MAX_PART_DIGITS` digits, the most the
-    interpreter converts by default, and past them `closed_form`."""
-    return str(count) if count < 10**MAX_PART_DIGITS else closed_form
-
-
 def verify(shape: GridShape) -> VerificationReport:
     """Run the full verification battery and collect a report.
 
-    `verify` runs in one of two modes, chosen by the poset size (n+1)**m.
+    `verify` runs in one of two modes, chosen by the poset size (n+1)**m,
+    which it names in that closed form and never computes past the cap.
     Within `DEFAULT_CAP` it runs in full mode: every chain is checked whole,
     and the partition oracle claims each element in a table of 4 bytes per
     composition.  Past the cap it runs in sampled mode: the oracle is
@@ -500,40 +485,34 @@ def verify(shape: GridShape) -> VerificationReport:
 
     Full mode skips only work whose verdict another check of the same pass
     has already decided, and every check stays in the report.  Sampled mode
-    skips nothing: it runs every check at every sampled start.
-      * `symmetric` does not locate the upper covers of a chain's end.
-        `partition` shows that every composition, each upper cover
-        included, lies on some chain, and `disjoint` locates every element
-        to its own chain's start; an upper cover of the end lies above
-        every element of the (saturated) chain, so it cannot locate to its
-        start.
-      * Each psi pair is checked once, at its lexicographically smaller
-        start alpha, which the pass reaches first.  Every identity of
-        `involution` is symmetric in alpha and beta = psi(alpha) once
-        psi(beta) = alpha, so at alpha it applies psi to beta too, and
-        compares both greedy end vectors and both chains.  The pass marks
-        a start beta a partner while `involution` has found nothing and
-        psi(beta), beta's certified end vector reversed, is smaller than
-        beta.  It builds no greedy counts for a partner and skips the
-        checks of `_SETTLED_BY_PAIR` there: beta's chain, built by the same
-        `chain_elements`, is the reversed star of alpha's saturated chain,
-        whose ranks `symmetric` checked at alpha; greedy(beta) = alpha
-        reversed = beta's end vector; and `disjoint` at beta still locates
-        beta's end.  If alpha = psi(beta), reached first, is no partner,
-        `involution` ran there, and if its image is not beta, psi(alpha)
-        and beta are two starts with one end vector, alpha reversed; if
-        alpha is a partner too, following psi down from beta reaches two
-        such starts.  Their chains share a
-        top, which the partition, always run in full mode, reports as
-        claimed twice.  Every other start runs every check; with a true
-        involution that is each smaller or self-paired start.
+    skips nothing: it runs every check at every sampled start.  Full mode
+    checks each psi pair once, at its lexicographically smaller start
+    alpha, which the pass reaches first.  Every identity of `involution` is
+    symmetric in alpha and beta = psi(alpha) once psi(beta) = alpha, so at
+    alpha it applies psi to beta too, and compares both greedy end vectors
+    and both chains.  The pass marks a start beta a partner while
+    `involution` has found nothing and psi(beta), beta's certified end
+    vector reversed, is smaller than beta.  It builds no greedy counts for
+    a partner and skips the checks of `_SETTLED_BY_PAIR` there: beta's
+    chain, built by the same `chain_elements`, is the reversed star of
+    alpha's saturated chain, whose ranks `symmetric` checked at alpha;
+    greedy(beta) = alpha reversed = beta's end vector; and `disjoint` at
+    beta still locates beta's end.  If alpha = psi(beta), reached first, is
+    no partner, `involution` ran there, and if its image is not beta,
+    psi(alpha) and beta are two starts with one end vector, alpha reversed;
+    if alpha is a partner too, following psi down from beta reaches two
+    such starts.  Their chains share a top, which the partition, always run
+    in full mode, reports as claimed twice.  Every other start runs every
+    check; with a true involution that is each smaller or self-paired
+    start.
     """
     clock = time.perf_counter
-    cap, poset_size = DEFAULT_CAP, shape.size
-    full = poset_size <= cap
+    cap = DEFAULT_CAP
+    # (n+1)**m >= 2**m exceeds the cap past its bit length
+    full = shape.m <= cap.bit_length() and shape.size <= cap
     sample = SAMPLE_STARTS if full else min(SAMPLE_STARTS, max(1, SAMPLE_WORK // shape.m))
     names = ("partition", *_CHAIN_CHECKS, "middle-rank-count")
-    report = VerificationReport(shape, [CheckResult(name, True) for name in names], None, poset_size if full else None)
+    report = VerificationReport(shape, [CheckResult(name, True) for name in names], None, shape.size if full else None)
     partition, *chain_checks, middle = report.checks
     involution, disjoint = report.check("involution"), report.check("disjoint")
     running = list(zip(chain_checks, _CHAIN_CHECKS.values()))
@@ -549,8 +528,16 @@ def verify(shape: GridShape) -> VerificationReport:
             for ch in decompose(shape)
         )
     else:
-        size = _count_text(poset_size, f"{shape.n + 1}**{shape.m}")
-        partition.skipped, partition.message = True, f"poset size {size} exceeds cap {cap}; oracle mode refused"
+        partition.skipped = True
+        partition.message = f"poset size {shape.n + 1}**{shape.m} exceeds cap {cap}; oracle mode refused"
+        # The sample is a lexicographic prefix of the starts, as full mode's
+        # stream is, and that is why no check locates an upper cover of a
+        # chain's end.  Each upper cover of a chain's top is the top of a
+        # chain with a lexicographically smaller start (Greene and
+        # Kleitman's bracket rule, 1976; checked by the tests on small
+        # grids, not proven), so that chain is read first, and its end
+        # locate (`disjoint`'s, at a full-mode partner) meets a locate fault
+        # at the cover first.  Uniform draws would have to restate this.
         starts = iter_start_parts(shape)
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
 

@@ -4,7 +4,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 from math import comb
 
 import pytest
@@ -21,11 +21,15 @@ from scdposet import (
     verify,
 )
 from scdposet.decompose import chain_length_histogram, check_partition, middle_level_size
+from scdposet.locate import locate_parts
+from scdposet.starts import alpha_end_parts, iter_start_parts
 
 from conftest import (
+    SMALL_SHAPES,
     all_parts,
     brute_level_sizes,
     dbtk_chains,
+    is_keyed_start,
     plant,
     record_checks,
     shift_one_forbidden_cell,
@@ -207,7 +211,7 @@ class TestVerify:
             assert (report.chain_count, report.element_count) == (3, 9)
         else:
             assert partition.skipped
-            assert partition.message == "poset size 9 exceeds cap 8; oracle mode refused"
+            assert partition.message == "poset size 3**2 exceeds cap 8; oracle mode refused"
             assert (report.chain_count, report.element_count) == (None, None)
 
     @pytest.mark.parametrize("work, chains", [(1, 1), (12 * 8 + 5, 8), (12 * 512 - 1, 511), (12 * 512, 512)])
@@ -244,8 +248,8 @@ class TestVerify:
 
     def test_counts_past_the_decimal_limit_are_printed_in_closed_form(self, monkeypatch):
         # 30001**1000 has 4,478 digits, more than the interpreter converts to
-        # decimal by default; at 1,000 rows the middle rank's size is never
-        # computed
+        # decimal by default, and neither it nor, at 1,000 rows, the middle
+        # rank's size is computed
         report = verify_with(monkeypatch, GridShape(1000, 30000), SAMPLE_STARTS=1)
         assert report.passed
         assert [c.name for c in report.checks if c.skipped] == ["partition", "middle-rank-count"]
@@ -290,11 +294,28 @@ class TestVerify:
         middle = report.check("middle-rank-count")
         assert middle.passed and not middle.skipped
 
-    @pytest.mark.parametrize("digits", [4300, 4301])
-    def test_decimal_limit_is_inclusive(self, digits):
-        module = importlib.import_module("scdposet.decompose")
-        count = 10 ** (digits - 1)
-        assert module._count_text(count, "closed") == ("1" + "0" * 4299 if digits == 4300 else "closed")
+    def test_poset_size_is_computed_only_within_the_cap_bit_length(self, monkeypatch):
+        # (n+1)**m >= 2**m exceeds a cap of 10 bits past 10 rows, so the
+        # size of N(11, 1) is never computed; both are named in closed form
+        computed = []
+        size = GridShape.size.fget
+        monkeypatch.setattr(GridShape, "size", property(lambda shape: computed.append(shape.m) or size(shape)))
+        for m in (10, 11):
+            report = verify_with(monkeypatch, GridShape(m, 1), DEFAULT_CAP=1000, SAMPLE_STARTS=1)
+            assert report.passed
+            assert report.check("partition").message == f"poset size 2**{m} exceeds cap 1000; oracle mode refused"
+        assert computed == [10]
+
+    @pytest.mark.parametrize("below", [0, 1])
+    def test_middle_rank_size_equal_to_the_cap_is_counted(self, monkeypatch, below):
+        # N(8, 5) is sampled at either cap; its middle rank is counted at a
+        # cap equal to its size, and skipped one below
+        shape = GridShape(8, 5)
+        expected = middle_level_size(shape)
+        report = verify_with(monkeypatch, shape, DEFAULT_CAP=expected - below)
+        middle = report.check("middle-rank-count")
+        assert report.passed and report.check("partition").skipped
+        assert middle.skipped == bool(below)
 
     def test_skipped_middle_rank_count_is_charged_for_its_size(self, monkeypatch):
         module = importlib.import_module("scdposet.decompose")
@@ -531,6 +552,22 @@ class TestVerify:
         assert len(element) == 4 and all(0 <= p <= 4 for p in element)
         assert disjoint.counterexample == {"element": element, "located": list(module.locate_parts(tuple(element), 4))}
 
+    def test_random_round_trips_draw_every_part_value(self, monkeypatch):
+        module = importlib.import_module("scdposet.decompose")
+        drawn, locate = set(), module.locate
+        monkeypatch.setattr(module, "locate", lambda c: drawn.update(c.parts) or locate(c))
+        assert module._random_roundtrip(GridShape(4, 4), 64) is None
+        assert drawn == set(range(5))
+
+    def test_probe_positions_hold_both_ends_and_at_most_64(self):
+        # a sampled chain of up to 64 elements is probed everywhere, and a
+        # longer one at 64 distinct positions, its ends included
+        positions = importlib.import_module("scdposet.decompose")._positions
+        for top in range(300):
+            probed = positions(top)
+            assert probed[0] == 0 and probed[-1] == top
+            assert probed == sorted(set(probed)) and len(probed) == min(top + 1, 64)
+
 
 def reference_partition(m, n, chains):
     """The partition verdict from definitions: a dict from element to start,
@@ -758,12 +795,11 @@ class TestVerifyPass:
         assert report.check("partition").passed and not report.check("partition").skipped
 
     @pytest.mark.parametrize("mode", ["full", "sampled"])
-    def test_upper_covers_are_located_only_in_sampled_mode(self, monkeypatch, mode):
-        # disjoint locates every element; symmetric locates the end of each
-        # chain it checks, and every upper cover of every end only in
-        # sampled mode, where no partition oracle settles them.  Sampled
-        # over all 85 starts of N(4, 4), every chain is shorter than the
-        # probe budget, so every element is probed
+    def test_no_upper_cover_is_located(self, monkeypatch, mode):
+        # disjoint locates every element, symmetric the end of each chain
+        # it checks, and no check an upper cover of an end.  Sampled over
+        # all 85 starts of N(4, 4), every chain is shorter than the probe
+        # budget, so every element is probed
         module = importlib.import_module("scdposet.decompose")
         original = module.locate_parts
         calls = Counter()
@@ -776,12 +812,28 @@ class TestVerifyPass:
         shape = GridShape(4, 4)
         report = verify(shape) if mode == "full" else verify_with(monkeypatch, shape, DEFAULT_CAP=0, SAMPLE_STARTS=85)
         assert report.passed
-        ends = [ch.elements[-1] for ch in decompose(shape)]
-        covers = sum(p < shape.n for end in ends for p in end)
         # full mode locates no end at the 30 larger starts of psi pairs,
         # whose pair settled symmetric
-        located_ends = len(ends) - (30 if mode == "full" else 0)
-        assert calls["locate_parts"] == shape.size + located_ends + (0 if mode == "full" else covers)
+        located_ends = 85 - (30 if mode == "full" else 0)
+        assert calls["locate_parts"] == shape.size + located_ends
+
+    @pytest.mark.parametrize("shape", [GridShape(m, n) for m, n in SMALL_SHAPES] + [GridShape(12, 9)], ids=str)
+    def test_each_upper_cover_of_a_top_is_the_top_of_an_earlier_chain(self, shape):
+        # why no check locates an upper cover of a chain's end: the chain
+        # whose top it is comes earlier in every lexicographic prefix of
+        # the starts, whose end locate meets a locate fault there first
+        n = shape.n
+
+        def top(alpha):
+            return tuple(n - e for e in alpha_end_parts(alpha, n))
+
+        for alpha in islice(iter_start_parts(shape), 512):
+            end = top(alpha)
+            for i, p in enumerate(end):
+                if p < n:
+                    cover = (*end[:i], p + 1, *end[i + 1 :])
+                    owner = locate_parts(cover, n)
+                    assert owner < alpha and top(owner) == cover, (alpha, cover, owner)
 
     def test_partner_starts_skip_what_their_pair_settled(self, monkeypatch):
         # the 30 larger starts of N(4, 4)'s psi pairs are the partners: the
@@ -929,6 +981,29 @@ class TestVerifyPass:
         middle = report.check("middle-rank-count")
         assert not middle.passed and not middle.skipped
         assert middle.counterexample == {"chain_count": 13, "middle_level_size": 12}
+
+    @pytest.mark.parametrize("shape, extra", [(GridShape(4, 4), 2), (GridShape(8, 5), 1)], ids=["full", "sampled"])
+    def test_count_of_two_extra_starts_stops_one_past_the_middle_rank(self, monkeypatch, shape, extra):
+        # the keyed start comes three times, past the 512 starts sampled at
+        # N(8, 5): either mode counts expected + 1 chains, and the sampled
+        # count reads only one of the extra starts, where full mode's
+        # stream reads both
+        yielded = []
+
+        def tripled(original):
+            def starts(grid):
+                for parts in original(grid):
+                    for again in (parts,) * (3 if is_keyed_start(parts) else 1):
+                        yielded.append(again)
+                        yield again
+
+            return starts
+
+        plant(monkeypatch, "starts", "iter_start_parts", tripled)
+        expected = middle_level_size(shape)
+        middle = verify(shape).check("middle-rank-count")
+        assert middle.counterexample == {"chain_count": expected + 1, "middle_level_size": expected}
+        assert len(yielded) == expected + extra
 
 
 class TestAgainstDeBruijnTengbergenKruyswijk:

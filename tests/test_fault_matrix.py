@@ -89,11 +89,10 @@ def _upper_covers(parts, n):
 def test_upper_cover_locating_to_its_chain_start_is_caught(monkeypatch, mode):
     # one upper cover of the first chain end that has one locates to that
     # chain's start.  In this decomposition every upper cover of an end is
-    # the end of an earlier chain, so the end locate of `symmetric` meets
-    # the fault there first.  In full mode disjoint meets it first, on
-    # that earlier chain's elements, since full mode locates no upper
-    # cover; sampled mode, over all 85 starts of N(4,4) with no oracle,
-    # relies on symmetric
+    # the end of an earlier chain, so in both modes, which locate no upper
+    # cover, the end locate of `symmetric` and the element locates of
+    # `disjoint` meet the fault there first; sampled mode runs over all 85
+    # starts of N(4,4), with no oracle
     shape = GridShape(4, 4)
     chains = list(decompose(shape))
     order = {ch.alpha.parts: k for k, ch in enumerate(chains)}
@@ -107,17 +106,7 @@ def test_upper_cover_locating_to_its_chain_start_is_caught(monkeypatch, mode):
     plant(monkeypatch, "locate", "locate_parts", extending)
     report = verify(shape) if mode == "full" else verify_with(monkeypatch, shape, DEFAULT_CAP=0, SAMPLE_STARTS=85)
     failing = {c.name for c in report.checks if not c.passed and not c.skipped}
-    if mode == "full":
-        assert "disjoint" in failing
-        assert report.check("disjoint").counterexample == {
-            "alpha": list(owner[cover]),
-            "element": list(cover),
-            "located": list(alpha),
-        }
-    else:
-        assert "symmetric" in failing
-        assert report.check("symmetric").counterexample == {
-            "alpha": list(owner[cover]),
-            "end": list(cover),
-            "located": list(alpha),
-        }
+    assert {"symmetric", "disjoint"} <= failing
+    earlier, located = list(owner[cover]), list(alpha)
+    assert report.check("symmetric").counterexample == {"alpha": earlier, "end": list(cover), "located": located}
+    assert report.check("disjoint").counterexample == {"alpha": earlier, "element": list(cover), "located": located}

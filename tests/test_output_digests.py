@@ -82,17 +82,17 @@ REPORT_DIGESTS = {
     # full mode at the verify-oracle workload's shape, partition oracle included
     "verify -m 8 -n 3 --oracle": "a6a1e368603a6243f67cf8caf24ae2a0c0b597a17d31986d37ee5d7a27d0ef29",
     # sampled mode past the cap, whose middle rank of 39,581,170,420 is past the cap too
-    "verify -m 12 -n 9": "939f613a4c22ee53ee2636d0f3a64e998fabc61f3afaf8f641ae5d85a598814d",
+    "verify -m 12 -n 9": "b9f5890af5f674a36be33d17f729ef74dca4af17a4f9eb8c2479283c7a37762e",
     # sampled on a 400,000-cell grid, no per-chain check skipped
-    "verify -m 2 -n 200000": "2e7217ce85582d0d4a738694951dac98e3a8e952920c8dd92e4c42a45c10158a",
+    "verify -m 2 -n 200000": "92fee90b0c17145c7814b3ca61e950851cfe89f927250b3a88b9e9a8699df110",
     # sampled on a 2,000-row grid, its starts enumerated without recursion; here
     # and below the work bound cuts the sample to SAMPLE_WORK // m chains
-    "verify -m 2000 -n 1": "d0005789d5c081769734804f69a8a28fda010e960a51d29f51de3c96565319c2",
-    # past the decimal limit and past 22 rows only partition and middle-rank-count are skipped
+    "verify -m 2000 -n 1": "bc67be537ae381117ec73915cc9e600aea942eb64a95071919da1526132ad674",
+    # past 22 rows only partition and middle-rank-count are skipped
     "verify -m 1000 -n 30000": "2a2e83e1da86a9c5412e322d415e9b87f733255a2b7f4b682e78d4a3c5c6da3f",
     "verify -m 4400 -n 9": "1b9524829508d0c16a091942657a66f64fdb7c3f4b0765ba145da03070545a46",
     # sampled past the cap, the middle rank counted along its one enumeration
-    "verify -m 8 -n 5": "cca2bb0e1ac95e184d0bdddd3bd5080a9e362d36d942b5ee0998424b6e9f6cf5",
+    "verify -m 8 -n 5": "df47e0400e6eaf435ea666a5d4ea3dfd844839d5bc0fa30cac88a602510b4e2c",
     # the partition oracle runs without --oracle
     "verify -m 4 -n 4": "e70c84ee7d7b7bccc06abc0cd117caf6668c726b5fdb4ea8c6421c92fc10a8f9",
     # full mode, every check run and passed
