@@ -120,12 +120,8 @@ def _chain_writer(m: int, n: int, table: list[str] | _PartStrings) -> Callable[[
     return write_chain
 
 
-# json.dumps would build this encoder on every call.
-_encode = json.JSONEncoder(separators=(",", ":")).encode
-
-
 def _emit(obj) -> None:
-    sys.stdout.write(_encode(obj))
+    sys.stdout.write(json.dumps(obj, separators=(",", ":")))
     sys.stdout.write("\n")
 
 

@@ -341,9 +341,9 @@ class _StartValue:
 def _check_symmetric(v: _StartValue) -> dict | None:
     """The chain ends at the complementary rank, on an element that locates
     back to the chain's start.  Membership is decided by `locate_parts`,
-    which does not use the end-vector formula the chain is built from.  The
-    upper covers of the end are not located: `verify` says why the end
-    locates of earlier chains settle them."""
+    which does not use the end-vector formula the chain is built from.  No
+    other check locates the end, and none its upper covers: `verify` says
+    why the end locates of earlier chains settle them."""
     parts, n = v.sv.parts, v.sv.shape.n
     end = v.at(v.positions[-1])
     located = locate_parts(end, n)
@@ -365,8 +365,9 @@ def _check_saturated(v: _StartValue) -> dict | None:
 
 
 def _check_disjoint(v: _StartValue) -> dict | None:
+    """Every probed element but the end, `symmetric`'s, locates to the start."""
     parts, n = v.sv.parts, v.sv.shape.n
-    for el in map(v.at, v.positions):
+    for el in map(v.at, v.positions[:-1]):
         back = locate_parts(el, n)
         if back != parts:
             return {"alpha": list(parts), "element": list(el), "located": list(back)}
@@ -378,9 +379,10 @@ def _check_involution(v: _StartValue) -> dict | None:
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
     the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
-    greedy end vectors of alpha and psi(alpha).  An image outside the
-    starting set is a counterexample, not an error.  Every identity is
-    symmetric in alpha and psi(alpha), so passing at alpha settles the
+    greedy end vectors of alpha and psi(alpha); the first is alpha's
+    `corollary-vs-simulation`, and a fixed point is its own mirror.  An
+    image outside the starting set is a counterexample, not an error.  Each
+    identity is symmetric in alpha and psi(alpha), so alpha settles the
     pair (see `verify`)."""
     parts, n = v.sv.parts, v.sv.shape.n
     try:
@@ -396,9 +398,8 @@ def _check_involution(v: _StartValue) -> dict | None:
             return {"alpha": list(parts), "psi": list(iparts), "reason": "psi(psi(alpha)) is not a start vector"}
         if again.parts != parts:
             return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
-    elements = v.elements
-    mirror = _StartValue(image, elements if elements is None or iparts == parts else chain_elements(image).elements)
-    if iparts[::-1] != v.greedy or mirror.greedy[::-1] != parts:
+    mirror = v if iparts == parts else _StartValue(image, None if v.elements is None else chain_elements(image).elements)
+    if mirror.greedy[::-1] != parts:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
     if mirror.positions != v.positions:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
@@ -428,7 +429,7 @@ _CHAIN_CHECKS: dict[str, Callable[[_StartValue], dict | None]] = {
 
 # The checks the pass skips at a partner: `involution` at its pair's smaller
 # start has settled them (see `verify`).
-_SETTLED_BY_PAIR = frozenset({"symmetric", "saturated", "involution", "corollary-vs-simulation"})
+_SETTLED_BY_PAIR = frozenset({"saturated", "involution", "corollary-vs-simulation"})
 
 
 def _random_roundtrip(shape: GridShape, count: int) -> dict | None:
@@ -489,22 +490,22 @@ def verify(shape: GridShape) -> VerificationReport:
     checks each psi pair once, at its lexicographically smaller start
     alpha, which the pass reaches first.  Every identity of `involution` is
     symmetric in alpha and beta = psi(alpha) once psi(beta) = alpha, so at
-    alpha it applies psi to beta too, and compares both greedy end vectors
-    and both chains.  The pass marks a start beta a partner while
+    alpha it applies psi to beta too, and compares greedy(beta) with alpha
+    reversed and both chains (`corollary-vs-simulation` compares greedy(alpha)
+    with beta reversed).  The pass marks a start beta a partner while
     `involution` has found nothing and psi(beta), beta's certified end
     vector reversed, is smaller than beta.  It builds no greedy counts for
     a partner and skips the checks of `_SETTLED_BY_PAIR` there: beta's
     chain, built by the same `chain_elements`, is the reversed star of
-    alpha's saturated chain, whose ranks `symmetric` checked at alpha;
-    greedy(beta) = alpha reversed = beta's end vector; and `disjoint` at
-    beta still locates beta's end.  If alpha = psi(beta), reached first, is
-    no partner, `involution` ran there, and if its image is not beta,
-    psi(alpha) and beta are two starts with one end vector, alpha reversed;
-    if alpha is a partner too, following psi down from beta reaches two
-    such starts.  Their chains share a top, which the partition, always run
-    in full mode, reports as claimed twice.  Every other start runs every
-    check; with a true involution that is each smaller or self-paired
-    start.
+    alpha's saturated chain, and greedy(beta) = alpha reversed = beta's end
+    vector.  `symmetric`, the one locate of each end, runs at every start.
+    If alpha = psi(beta), reached first, is no partner, `involution` ran
+    there, and if its image is not beta, psi(alpha) and beta are two starts
+    with one end vector, alpha reversed; if alpha is a partner too,
+    following psi down from beta reaches two such starts.  Their chains
+    share a top, which the partition, always run in full mode, reports as
+    claimed twice.  Every other start runs every check; with a true
+    involution that is each smaller or self-paired start.
     """
     clock = time.perf_counter
     cap = DEFAULT_CAP
@@ -536,8 +537,8 @@ def verify(shape: GridShape) -> VerificationReport:
         # chain with a lexicographically smaller start (Greene and
         # Kleitman's bracket rule, 1976; checked by the tests on small
         # grids, not proven), so that chain is read first, and its end
-        # locate (`disjoint`'s, at a full-mode partner) meets a locate fault
-        # at the cover first.  Uniform draws would have to restate this.
+        # locate, `symmetric`'s, meets a locate fault at the cover first.
+        # Uniform draws would have to restate this.
         starts = iter_start_parts(shape)
         values = (_StartValue(StartVector(Composition._derived(shape, parts))) for parts in islice(starts, sample))
 

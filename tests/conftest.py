@@ -54,6 +54,21 @@ def shift_one_forbidden_cell(original, upward=True):
     return shifted
 
 
+def one_more_forbidden_cell(original):
+    """A planted fault: `original` end vectors with one more forbidden cell
+    in the last row the walk fills, the topmost with a fillable cell, so
+    each chain stops one element below its top, on an element of its own."""
+
+    def more(parts, n):
+        end = list(original(parts, n))
+        free = [i for i, (p, e) in enumerate(zip(parts, end)) if p + e < n]
+        if free:
+            end[free[0]] += 1
+        return tuple(end)
+
+    return more
+
+
 def locate_off_at_first_close(original):
     """A planted fault: `original` located starts whose part at the first
     block the backward scan closes, the lowest row below m whose part is
@@ -166,6 +181,11 @@ FAULTS = {
         "starts",
         "alpha_end_parts",
         lambda original: shift_one_forbidden_cell(original, upward=False),
+    ),
+    "alpha_end_parts one forbidden cell too many in the last row filled": (
+        "starts",
+        "alpha_end_parts",
+        one_more_forbidden_cell,
     ),
     "locate_parts off by one at a block boundary": ("locate", "locate_parts", locate_off_at_first_close),
     "greedy_counts shifted": ("tableau", "greedy_counts", shift_one_forbidden_cell),

@@ -795,9 +795,9 @@ class TestVerifyPass:
         assert report.check("partition").passed and not report.check("partition").skipped
 
     @pytest.mark.parametrize("mode", ["full", "sampled"])
-    def test_no_upper_cover_is_located(self, monkeypatch, mode):
-        # disjoint locates every element, symmetric the end of each chain
-        # it checks, and no check an upper cover of an end.  Sampled over
+    def test_each_composition_is_located_once(self, monkeypatch, mode):
+        # disjoint locates every element but the end, symmetric the end, at
+        # every start, and no check an upper cover of an end.  Sampled over
         # all 85 starts of N(4, 4), every chain is shorter than the probe
         # budget, so every element is probed
         module = importlib.import_module("scdposet.decompose")
@@ -805,17 +805,15 @@ class TestVerifyPass:
         calls = Counter()
 
         def counting(c, n):
-            calls["locate_parts"] += 1
+            calls[c] += 1
             return original(c, n)
 
         monkeypatch.setattr(module, "locate_parts", counting)
         shape = GridShape(4, 4)
         report = verify(shape) if mode == "full" else verify_with(monkeypatch, shape, DEFAULT_CAP=0, SAMPLE_STARTS=85)
         assert report.passed
-        # full mode locates no end at the 30 larger starts of psi pairs,
-        # whose pair settled symmetric
-        located_ends = 85 - (30 if mode == "full" else 0)
-        assert calls["locate_parts"] == shape.size + located_ends
+        assert sum(calls.values()) == shape.size
+        assert calls == Counter(product(range(5), repeat=4))
 
     @pytest.mark.parametrize("shape", [GridShape(m, n) for m, n in SMALL_SHAPES] + [GridShape(12, 9)], ids=str)
     def test_each_upper_cover_of_a_top_is_the_top_of_an_earlier_chain(self, shape):
@@ -840,7 +838,7 @@ class TestVerifyPass:
         # pass runs there none of the checks their pair settled, and builds
         # no greedy counts for them, while each of the 55 smaller or
         # self-paired starts runs every check and builds its own greedy
-        # counts and its image's
+        # counts and, unless it is a fixed point, its image's: once per start
         module = importlib.import_module("scdposet.decompose")
         shape = GridShape(4, 4)
         everyone = set(scdposet.starts.iter_start_parts(shape))
@@ -869,12 +867,13 @@ class TestVerifyPass:
         monkeypatch.setattr(module, "greedy_counts", counting)
         assert verify(shape).passed
         assert len(larger) == 30
-        assert ran["disjoint"] == {(parts, parts in larger) for parts in everyone}
-        settled = {"symmetric", "saturated", "involution", "corollary-vs-simulation"}
+        for name in ("symmetric", "disjoint"):
+            assert ran[name] == {(parts, parts in larger) for parts in everyone}, name
+        settled = {"saturated", "involution", "corollary-vs-simulation"}
         assert module._SETTLED_BY_PAIR == settled
         for name in settled:
             assert ran[name] == {(parts, False) for parts in everyone - larger}, name
-        assert sum(counted.values()) == 2 * 55 and counted.keys() == everyone
+        assert sum(counted.values()) == 85 and counted == Counter(everyone)
 
     def test_no_start_is_a_partner_once_involution_has_failed(self, monkeypatch):
         # psi is wrong only at (0, 0, 2, 0), where it fixes its input; every
