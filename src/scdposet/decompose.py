@@ -379,7 +379,7 @@ def _check_involution(v: _StartValue) -> dict | None:
     chain onto its reversed star.  On row counts the half-turn swaps fixed
     prefixes with mirrored forbidden suffixes, and fill numbers follow from
     the counts, so it holds iff psi(alpha) and alpha, each reversed, are the
-    greedy end vectors of alpha and psi(alpha); the first is alpha's
+    greedy end vectors of alpha and psi(alpha); the first is compared by
     `corollary-vs-simulation`, and a fixed point is its own mirror.  An
     image outside the starting set is a counterexample, not an error.  Each
     identity is symmetric in alpha and psi(alpha), so alpha settles the
