@@ -17,13 +17,15 @@ from .tableau import Cells, ChainTableau, Fillable, Fixed, Forbidden, build_tabl
 # 80 MB resident.
 MAX_RENDER_CELLS = 100_000
 
-FIXED_GLYPH = "G"
-FORBIDDEN_GLYPH = "X"
-
 CELL_SIZE = 28
-FIXED_COLOR = "#7bc043"
-FORBIDDEN_COLOR = "#bdbdbd"
-FILLABLE_COLOR = "#ffffff"
+
+# cell class -> (JSON state, ASCII glyph, SVG fill); a fillable cell's glyph
+# is its fill number
+CELL_LOOKS = {
+    Fixed: ("fixed", "G", "#7bc043"),
+    Forbidden: ("forbidden", "X", "#bdbdbd"),
+    Fillable: ("fillable", None, "#ffffff"),
+}
 
 
 def render_ascii(t: ChainTableau) -> str:
@@ -38,12 +40,7 @@ def render_ascii(t: ChainTableau) -> str:
     for row in t.cells:
         toks = []
         for cell in row:
-            if isinstance(cell, Fixed):
-                toks.append(f"{FIXED_GLYPH:>3}")
-            elif isinstance(cell, Forbidden):
-                toks.append(f"{FORBIDDEN_GLYPH:>3}")
-            else:
-                toks.append(f"{cell.order:>3}")
+            toks.append(f"{CELL_LOOKS[cell.__class__][1] or cell.order:>3}")
         lines.append(" ".join(toks))
     return "\n".join(lines)
 
@@ -56,11 +53,13 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     header `alpha=<parts> alphaE=<parts>` and one row per part of alpha,
     all of one width n, checked before any cell is built; then the header
     and the cells, row by row, must be those `render_ascii` writes for the
-    tableau of alpha in N(m, n).  Raises ValueError otherwise, naming the
-    first line that differs.
+    tableau of alpha in N(m, n).  The text may end in one newline, as the
+    CLI writes it, and holds no other line or space that `render_ascii`
+    does not write.  Raises ValueError otherwise, naming the first line
+    that differs.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    header = lines[0].split(" ") if lines else []
+    lines = text.removesuffix("\n").split("\n")
+    header = lines[0].split(" ")
     if len(header) != 2 or not header[0].startswith("alpha=") or not header[1].startswith("alphaE="):
         raise ValueError("header line is not alpha=<parts> alphaE=<parts>")
     alpha = parse_parts(header[0].removeprefix("alpha="))
@@ -68,14 +67,16 @@ def parse_ascii(text: str) -> tuple[tuple[int, ...], Cells]:
     if len(rows) != len(alpha) or len({len(row) for row in rows}) != 1:
         raise ValueError(f"expected {len(alpha)} rows of equal length, got {[len(row) for row in rows]} cells per row")
     t = build_tableau(StartVector.of(alpha, len(rows[0])))
-    expected = render_ascii(t).splitlines()
+    expected = render_ascii(t).split("\n")
     if lines[0] != expected[0]:
         raise ValueError(f"header {lines[0]!r} is not {expected[0]!r}, which render_ascii writes for this alpha")
-    for i, (row, line) in enumerate(zip(rows, expected[1:]), 1):
-        want = line.split()
+    for i, (row, line, want_line) in enumerate(zip(rows, lines[1:], expected[1:]), 1):
+        want = want_line.split()
         if row != want:
             j = next(j for j, (got, cell) in enumerate(zip(row, want)) if got != cell)
             raise ValueError(f"row {i}, cell {j + 1} is {row[j]!r}; render_ascii writes {want[j]!r} there")
+        if line != want_line:
+            raise ValueError(f"row {i} is {line!r}; render_ascii writes {want_line!r}")
     return alpha, strip_sources(t.cells)
 
 
@@ -85,12 +86,8 @@ def tableau_payload(t: ChainTableau) -> dict:
     for row in t.cells:
         out_row = []
         for cell in row:
-            if isinstance(cell, Fixed):
-                out_row.append({"state": "fixed"})
-            elif isinstance(cell, Forbidden):
-                out_row.append({"state": "forbidden", "source": cell.source})
-            else:
-                out_row.append({"state": "fillable", "order": cell.order})
+            # the state, then the cell's one field if it has one
+            out_row.append({"state": CELL_LOOKS[cell.__class__][0], **{f: getattr(cell, f) for f in cell._fields}})
         cells.append(out_row)
     return {
         "m": t.shape.m,
@@ -113,17 +110,12 @@ def render_svg(t: ChainTableau) -> str:
     for i, row in enumerate(t.cells):
         for j, cell in enumerate(row):
             x, y = j * s + 1, i * s + 1
-            if isinstance(cell, Fixed):
-                color = FIXED_COLOR
-            elif isinstance(cell, Forbidden):
-                color = FORBIDDEN_COLOR
-            else:
-                color = FILLABLE_COLOR
+            _, glyph, fill = CELL_LOOKS[cell.__class__]
             out.append(
                 f'<rect x="{x}" y="{y}" width="{s}" height="{s}" '
-                f'fill="{color}" stroke="#333333" stroke-width="1"/>'
+                f'fill="{fill}" stroke="#333333" stroke-width="1"/>'
             )
-            if isinstance(cell, Fillable):
+            if glyph is None:
                 out.append(
                     f'<text x="{x + s / 2:g}" y="{y + s / 2:g}" font-size="{s // 2}" '
                     f'text-anchor="middle" dominant-baseline="central">{cell.order}</text>'

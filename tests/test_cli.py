@@ -327,6 +327,11 @@ class TestVerifyCommand:
         names = {c["name"]: c for c in payload["checks"]}
         assert names["partition"]["passed"] and not names["partition"]["skipped"]
 
+    def test_report_is_json_indented_by_two(self, capsys):
+        # the report digests hash the parsed report, so they miss its layout
+        out = run(capsys, "verify", "-m", "2", "-n", "1")[1]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_without_oracle_flag_partition_runs(self, capsys):
         # --oracle is accepted and changes nothing: within the cap the
         # partition oracle always runs
@@ -474,10 +479,29 @@ class TestStatsCommand:
 
 
 class TestArgumentErrors:
-    def test_missing_required_flag(self, capsys):
-        code, _, err = run(capsys, "chain", "--alpha", "1,0")
-        assert code == 1
-        assert "error:" in err
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            ("chain --alpha 1,0", "-n"),
+            ("chain -n 2", "--alpha"),
+            ("starts -m 2", "-n"),
+            ("starts -n 2", "-m"),
+            ("decompose -m 2", "-n"),
+            ("decompose -n 2", "-m"),
+            ("locate --c 1,0", "-n"),
+            ("locate -n 2", "--c"),
+            ("psi --alpha 1,0", "-n"),
+            ("psi -n 2", "--alpha"),
+            ("verify -m 2 --oracle", "-n"),
+            ("verify -n 2", "-m"),
+            ("render --alpha 1,0 --format svg", "-n"),
+            ("render -n 2", "--alpha"),
+            ("stats -m 2", "-n"),
+            ("stats -n 2", "-m"),
+        ],
+    )
+    def test_missing_required_flag(self, capsys, argv, missing):
+        assert run(capsys, *argv.split()) == (1, "", f"error: the following arguments are required: {missing}\n")
 
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
@@ -487,6 +511,24 @@ class TestArgumentErrors:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "scdposet" in out
+
+    @pytest.mark.parametrize(
+        "usage",
+        [
+            "chain [-h] --alpha ALPHA -n N",
+            "starts [-h] -m M -n N",
+            "decompose [-h] -m M -n N",
+            "locate [-h] --c C -n N",
+            "psi [-h] --alpha ALPHA -n N",
+            "verify [-h] -m M -n N",
+            "render [-h] --alpha ALPHA -n N [--format {ascii,svg,json}]",
+            "stats [-h] -m M -n N",
+        ],
+    )
+    def test_command_help_lists_its_options(self, capsys, usage):
+        code, out, _ = run(capsys, usage.split()[0], "--help")
+        assert code == 0
+        assert out.startswith(f"usage: scdposet {usage}\n")
 
     def test_shape_bound_rejected(self, capsys):
         code, _, err = run(capsys, "stats", "-m", "100000", "-n", "100000")
@@ -512,6 +554,15 @@ class TestArgumentErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error:")
+
+
+def test_closed_stdout_exits_0(monkeypatch):
+    # a reader that stops early, as `scdposet decompose ... | head` does
+    def closed(text):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(sys, "stdout", type("Out", (), {"write": staticmethod(closed)})())
+    assert cli.main(["starts", "-m", "2", "-n", "1"]) == 0
 
 
 def test_readme_commands_run(capsys):

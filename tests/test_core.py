@@ -77,9 +77,10 @@ class TestShapeAndComposition:
             ((0, 4), ValueError, "part 2 (4) is outside [0, 3]"),
             ((10**20 - 1, 0), ValueError, "part 1 (99999999999999999999) is outside [0, 3]"),
             ((0, -(10**20)), ValueError, "part 2 (a 21-digit number) is outside [0, 3]"),
+            ((10**20, 0), ValueError, "part 1 (a 21-digit number) is outside [0, 3]"),
             ((10**4300 - 1, 0), ValueError, "part 1 (a 4300-digit number) is outside [0, 3]"),
         ],
-        ids=["float", "above-n", "20-digits", "21-digits", "4300-digits"],
+        ids=["float", "above-n", "20-digits", "21-digits", "21-digits-positive", "4300-digits"],
     )
     def test_refusal_names_the_part_and_not_the_vector(self, parts, error, message):
         # a value past 20 digits is shown by its digit count, so the message

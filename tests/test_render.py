@@ -18,6 +18,9 @@ from scdposet.core import Composition
 from scdposet.starts import iter_start_parts
 from scdposet.tableau import strip_sources
 
+# `scdposet render --alpha 1,3,2,0 -n 4`, without the newline the CLI adds
+WORKED_EXAMPLE = "alpha=1,3,2,0 alphaE=0,1,2,3\n  G   2   3   4\n  G   G   G   X\n  G   G   X   X\n  1   X   X   X"
+
 
 class TestRenderAscii:
     def test_zero_alpha_2x2(self):
@@ -42,9 +45,31 @@ class TestRenderAscii:
         for parts in iter_start_parts(small_shape):
             sv = StartVector.of(parts, small_shape.n)
             t = build_tableau(sv)
-            alpha, cells = parse_ascii(render_ascii(t))
-            assert alpha == sv.parts
-            assert cells == strip_sources(t.cells)
+            text = render_ascii(t)
+            for rendered in (text, text + "\n"):
+                alpha, cells = parse_ascii(rendered)
+                assert alpha == sv.parts
+                assert cells == strip_sources(t.cells)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (WORKED_EXAMPLE.replace("  G   2", "G   2"), "row 1 is 'G   2   3   4'; render_ascii writes '  G   2   3   4'"),
+            ("\n" + WORKED_EXAMPLE, "header line is not"),
+            (WORKED_EXAMPLE.replace("X\n", "X\n   \n", 1), "expected 4 rows of equal length, got [4, 4, 0, 4, 4]"),
+            (WORKED_EXAMPLE + "\n\n", "expected 4 rows of equal length, got [4, 4, 4, 4, 0]"),
+        ],
+        ids=["row-without-its-pad", "leading-blank-line", "blank-line-between-rows", "second-trailing-newline"],
+    )
+    def test_parse_accepts_one_trailing_newline_and_no_other_whitespace(self, text, message):
+        # render_ascii writes no blank line and pads every cell; the CLI adds
+        # one newline, so parse_ascii takes the text with or without it
+        t = build_tableau(StartVector.of((1, 3, 2, 0), 4))
+        assert render_ascii(t) == WORKED_EXAMPLE
+        for rendered in (WORKED_EXAMPLE, WORKED_EXAMPLE + "\n"):
+            assert parse_ascii(rendered) == ((1, 3, 2, 0), strip_sources(t.cells))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_ascii(text)
 
     def test_parse_rejects_missing_header(self):
         with pytest.raises(ValueError):
