@@ -52,9 +52,10 @@ POSITIONS_PER_CHAIN = 64
 MAX_STATS_WORK = 1_000_000
 
 # Past the cap `verify` samples min(SAMPLE_STARTS, max(1, SAMPLE_WORK // m))
-# chains, all 512 up to m = 128, each probed at up to 64 elements of m parts.
-# Cut runs took 27 to 35 us per chain per row: 1.7 s to 2.3 s end to end at
-# N(2000, 1), N(4400, 9), N(1000, 30000), N(200, 40) (2 vCPUs, Python 3.11.7).
+# chains, all 512 up to m = 128, each read at up to 64 elements of m parts,
+# and its mirror at the same positions.  Cut runs took 18 to 30 us per chain
+# per row: 1.1 s to 2.0 s end to end at N(2000, 1), N(4400, 9),
+# N(1000, 30000), N(200, 40) (2 vCPUs, Python 3.11.7).
 SAMPLE_WORK = 65_536
 
 
@@ -302,38 +303,40 @@ def check_partition(shape: GridShape, chains: Iterable[Chain]) -> CheckResult:
 
 def _positions(k: int) -> list[int]:
     """Up to `POSITIONS_PER_CHAIN` deterministic probe positions in 0..k,
-    always with the ends."""
+    always with the ends, and closed under j -> k - j, so that a chain's
+    mirror is read at the same positions."""
     if k < POSITIONS_PER_CHAIN:
         return list(range(k + 1))
-    step = k / (POSITIONS_PER_CHAIN - 1)
-    return sorted({round(i * step) for i in range(POSITIONS_PER_CHAIN)})
+    low = [i * k // (POSITIONS_PER_CHAIN - 1) for i in range(POSITIONS_PER_CHAIN // 2)]
+    return low + [k - j for j in reversed(low)]
 
 
 class _StartValue:
     """One start's chain and greedy row counts, built once and read by every check.
 
-    Checks probe the chain through `at` at `positions`.  Full mode passes
-    the whole chain as `elements`, for the partition claims and the
-    involution, and every position is probed; sampled mode leaves `elements`
-    None and probes a bounded set of positions by O(m) random access.
+    The chain is read once, into `elements`, the elements at the sorted
+    `positions`, and every check reads that list.  Full mode passes the
+    whole chain `decompose` streamed, at every position, for the partition
+    claims too; sampled mode reads a bounded set of positions by O(m)
+    random access, which is every position of a chain of up to
+    `POSITIONS_PER_CHAIN` elements.
 
     `partner` marks the larger start of a psi pair, whose settled checks
     the pass skips (see `verify`); a partner's greedy counts are not built.
     """
 
-    __slots__ = ("sv", "elements", "at", "positions", "partner", "greedy")
+    __slots__ = ("sv", "elements", "positions", "partner", "greedy")
 
     def __init__(
         self, sv: StartVector, elements: tuple[tuple[int, ...], ...] | None = None, partner: bool = False
     ) -> None:
         self.sv = sv
-        self.elements = elements
         if elements is None:
-            self.at = lambda j: element_at(sv, j).parts
             self.positions: Sequence[int] = _positions(sv.shape.top_rank - 2 * sum(sv.parts))
+            elements = tuple(element_at(sv, j).parts for j in self.positions)
         else:
-            self.at = elements.__getitem__
             self.positions = range(len(elements))
+        self.elements = elements
         self.partner = partner
         self.greedy = None if partner else greedy_counts(sv.parts, sv.shape.n)
 
@@ -345,7 +348,7 @@ def _check_symmetric(v: _StartValue) -> dict | None:
     other check locates the end, and none its upper covers: `verify` says
     why the end locates of earlier chains settle them."""
     parts, n = v.sv.parts, v.sv.shape.n
-    end = v.at(v.positions[-1])
+    end = v.elements[-1]
     located = locate_parts(end, n)
     if located != parts:
         return {"alpha": list(parts), "end": list(end), "located": list(located)}
@@ -356,18 +359,19 @@ def _check_symmetric(v: _StartValue) -> dict | None:
 
 
 def _check_saturated(v: _StartValue) -> dict | None:
-    """Consecutive probed elements differ by one unit vector."""
-    for j in v.positions[:-1]:
-        a, b = v.at(j), v.at(j + 1)
-        if sum(b) - sum(a) != 1 or not all(map(le, a, b)):
+    """Consecutive read elements lie as many ranks apart as their positions,
+    the lower below the higher: at adjacent positions, one unit vector."""
+    pos, els = v.positions, v.elements
+    for i, j, a, b in zip(pos, pos[1:], els, els[1:]):
+        if sum(b) - sum(a) != j - i or not all(map(le, a, b)):
             return {"alpha": list(v.sv.parts), "low": list(a), "high": list(b)}
     return None
 
 
 def _check_disjoint(v: _StartValue) -> dict | None:
-    """Every probed element but the end, `symmetric`'s, locates to the start."""
+    """Every read element but the end, `symmetric`'s, locates to the start."""
     parts, n = v.sv.parts, v.sv.shape.n
-    for el in map(v.at, v.positions[:-1]):
+    for el in v.elements[:-1]:
         back = locate_parts(el, n)
         if back != parts:
             return {"alpha": list(parts), "element": list(el), "located": list(back)}
@@ -383,7 +387,10 @@ def _check_involution(v: _StartValue) -> dict | None:
     `corollary-vs-simulation`, and a fixed point is its own mirror.  An
     image outside the starting set is a counterexample, not an error.  Each
     identity is symmetric in alpha and psi(alpha), so alpha settles the
-    pair (see `verify`)."""
+    pair (see `verify`).  A value holding its whole chain gets its mirror
+    whole from `chain_elements`, and a probed one its mirror probed at the
+    same positions, so the i-th read of the mirror is the star of the i-th
+    read from the end."""
     parts, n = v.sv.parts, v.sv.shape.n
     try:
         image = psi(v.sv)
@@ -398,14 +405,14 @@ def _check_involution(v: _StartValue) -> dict | None:
             return {"alpha": list(parts), "psi": list(iparts), "reason": "psi(psi(alpha)) is not a start vector"}
         if again.parts != parts:
             return {"alpha": list(parts), "psi": list(iparts), "psi_psi": list(again.parts)}
-    mirror = v if iparts == parts else _StartValue(image, None if v.elements is None else chain_elements(image).elements)
+    whole = len(v.elements) == v.positions[-1] + 1
+    mirror = v if iparts == parts else _StartValue(image, chain_elements(image).elements if whole else None)
     if mirror.greedy[::-1] != parts:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "rotated tableau differs"}
-    if mirror.positions != v.positions:
+    if mirror.positions[-1] != v.positions[-1]:
         return {"alpha": list(parts), "psi": list(iparts), "reason": "chain is not the reversed star"}
-    last = v.positions[-1]
-    for j in v.positions:
-        if mirror.at(j) != tuple(map(n.__sub__, reversed(v.at(last - j)))):
+    for i, (j, el) in enumerate(zip(mirror.positions, mirror.elements)):
+        if el != tuple(map(n.__sub__, reversed(v.elements[-1 - i]))):
             return {"alpha": list(parts), "psi": list(iparts), "reason": f"chain mismatch at position {j}"}
     return None
 
@@ -464,6 +471,9 @@ def verify(shape: GridShape) -> VerificationReport:
     in the partition table, and counts every start.  In sampled mode it
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
+    Each checked chain is read once, into one list that every check reads:
+    whole in full mode, and at up to `POSITIONS_PER_CHAIN` positions by
+    `element_at` in sampled mode, its psi mirror at the same positions.
     Past `MIDDLE_COUNT_MAX_M` rows the middle rank exceeds the cap, so its
     size is not computed and its count is skipped.
     A check stops at its first counterexample in start order, but the pass

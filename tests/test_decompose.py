@@ -561,12 +561,27 @@ class TestVerify:
 
     def test_probe_positions_hold_both_ends_and_at_most_64(self):
         # a sampled chain of up to 64 elements is probed everywhere, and a
-        # longer one at 64 distinct positions, its ends included
+        # longer one at 64 distinct sorted positions, its ends included;
+        # j and k - j are probed together, so a chain's mirror is read at
+        # the positions of the chain
         positions = importlib.import_module("scdposet.decompose")._positions
-        for top in range(300):
+        for top in [*range(300), 10**6 + 1, 2**31]:
             probed = positions(top)
             assert probed[0] == 0 and probed[-1] == top
             assert probed == sorted(set(probed)) and len(probed) == min(top + 1, 64)
+            assert {top - j for j in probed} == set(probed)
+
+    def test_sampled_chain_and_its_mirror_are_read_once(self, monkeypatch):
+        # each sampled chain is read once, into one list every check reads,
+        # and its mirror once at the same positions: at most two reads of
+        # POSITIONS_PER_CHAIN element_at calls per chain.  The round trips
+        # that finish disjoint call element_at through tableau, not here
+        module = importlib.import_module("scdposet.decompose")
+        calls, element_at = [], module.element_at
+        monkeypatch.setattr(module, "element_at", lambda sv, j: calls.append(j) or element_at(sv, j))
+        report = verify_with(monkeypatch, GridShape(12, 9), SAMPLE_STARTS=64)
+        assert report.passed and report.check("saturated").message == "sampled 64 chains"
+        assert 64 * module.POSITIONS_PER_CHAIN < len(calls) <= 64 * 2 * module.POSITIONS_PER_CHAIN
 
 
 def reference_partition(m, n, chains):

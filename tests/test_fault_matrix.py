@@ -44,7 +44,9 @@ MATRIX = {
     "greedy_counts shifted": ({"involution", "corollary-vs-simulation"}, {"corollary-vs-simulation"}),
     "psi wrong at the larger start": ({"involution"},) * 2,
     # the keyed chain of (1, 0, ..., 0) lies past the first 64 starts, and
-    # sampled mode reads chains by random access, never by the walk
+    # sampled mode walks only the mirror of a chain of at most 64 elements:
+    # every chain of those starts, its partner's too, is longer and is read
+    # by random access
     "fill_walk skipping one element": (WALK | {"partition"}, set()),
     "fill_walk repeating one element": (WALK | {"partition"}, set()),
     "fill_walk swapping two elements": (WALK, set()),
