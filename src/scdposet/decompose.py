@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .core import Composition, Frozen, GridShape, Record, _set
 from .locate import locate, locate_parts
 from .starts import NotStartVectorError, StartVector, iter_start_parts, psi
-from .tableau import Chain, chain_contains, chain_elements, element_at, greedy_counts
+from .tableau import Chain, chain_contains, chain_elements, elements_at, greedy_counts
 
 # The largest poset, (n+1)**m compositions, that `verify` checks exhaustively.
 # The partition oracle's claim table costs 4 bytes per composition, 4 MB at
@@ -52,10 +52,10 @@ POSITIONS_PER_CHAIN = 64
 MAX_STATS_WORK = 1_000_000
 
 # Past the cap `verify` samples min(SAMPLE_STARTS, max(1, SAMPLE_WORK // m))
-# chains, all 512 up to m = 128, each read at up to 64 elements of m parts,
-# and its mirror at the same positions.  Cut runs took 18 to 30 us per chain
-# per row: 1.1 s to 2.0 s end to end at N(2000, 1), N(4400, 9),
-# N(1000, 30000), N(200, 40) (2 vCPUs, Python 3.11.7).
+# chains, all 512 up to m = 128, each read at up to 64 elements of m parts
+# in one pass over its row runs, and its mirror at the same positions.  Cut
+# runs took 13 to 15 us per chain per row: 0.8 s to 1.0 s end to end at
+# N(2000, 1), N(4400, 9), N(1000, 30000), N(200, 40) (2 vCPUs, Python 3.11.7).
 SAMPLE_WORK = 65_536
 
 
@@ -317,9 +317,9 @@ class _StartValue:
     The chain is read once, into `elements`, the elements at the sorted
     `positions`, and every check reads that list.  Full mode passes the
     whole chain `decompose` streamed, at every position, for the partition
-    claims too; sampled mode reads a bounded set of positions by O(m)
-    random access, which is every position of a chain of up to
-    `POSITIONS_PER_CHAIN` elements.
+    claims too; sampled mode reads a bounded set of positions with one
+    `elements_at` pass over the row runs, which is every position of a chain
+    of up to `POSITIONS_PER_CHAIN` elements.
 
     `partner` marks the larger start of a psi pair, whose settled checks
     the pass skips (see `verify`); a partner's greedy counts are not built.
@@ -328,12 +328,12 @@ class _StartValue:
     __slots__ = ("sv", "elements", "positions", "partner", "greedy")
 
     def __init__(
-        self, sv: StartVector, elements: tuple[tuple[int, ...], ...] | None = None, partner: bool = False
+        self, sv: StartVector, elements: Sequence[tuple[int, ...]] | None = None, partner: bool = False
     ) -> None:
         self.sv = sv
         if elements is None:
             self.positions: Sequence[int] = _positions(sv.shape.top_rank - 2 * sum(sv.parts))
-            elements = tuple(element_at(sv, j).parts for j in self.positions)
+            elements = elements_at(sv.parts, sv.end, sv.shape.n, self.positions)
         else:
             self.positions = range(len(elements))
         self.elements = elements
@@ -472,8 +472,8 @@ def verify(shape: GridShape) -> VerificationReport:
     reads the first `sample` starts, and when the middle rank fits the cap
     the same enumeration goes on counting, up to the middle rank size + 1.
     Each checked chain is read once, into one list that every check reads:
-    whole in full mode, and at up to `POSITIONS_PER_CHAIN` positions by
-    `element_at` in sampled mode, its psi mirror at the same positions.
+    whole in full mode, and at up to `POSITIONS_PER_CHAIN` positions by one
+    `elements_at` pass in sampled mode, its psi mirror at the same positions.
     Past `MIDDLE_COUNT_MAX_M` rows the middle rank exceeds the cap, so its
     size is not computed and its count is skipped.
     A check stops at its first counterexample in start order, but the pass

@@ -22,7 +22,9 @@ is one slice of it: the values 0..n give parts tuples for
 `chain_elements`, which reads the parts and `.end` of a `StartVector`, and
 the n + 1 part strings, made once per shape, give the CLI's `decompose`
 its JSON array text straight from each odometer tuple and its certified
-end vector, with no value object per chain.  Every row is a fixed
+end vector, with no value object per chain.  Random access reads the
+same runs: `elements_at` gives the elements at sorted positions in one
+pass over them, and `element_at` one element.  Every row is a fixed
 prefix, one free run and a forbidden suffix, so the greedy rule of pass 2
 runs on per-row counts alone (`greedy_counts`, O(m)).  Those counts are
 its one implementation: verify's cross-checks against the closed form
@@ -33,7 +35,7 @@ their oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import Composition, Frozen, GridShape, _set, rank
 from .starts import StartVector
@@ -200,43 +202,47 @@ def fill_walk(parts: tuple[int, ...], end: tuple[int, ...], n: int, table: Seque
 
 
 def chain_elements(alpha: StartVector) -> Chain:
-    """Materialize the chain of `alpha` as parts tuples, from `fill_walk`.
-
-    The walk's table is the part values 0..n: a list for a chain longer
-    than n, since a list slices faster than a range, and the range itself
-    for a shorter chain, which would not repay building the list."""
-    parts = alpha.parts
+    """Materialize the chain of `alpha` as parts tuples, from `fill_walk`
+    over the part values 0..n."""
     n = alpha.shape.n
-    # the chain has m*n - 2*sum(parts) + 1 elements
-    table = [*range(n + 1)] if (len(parts) - 1) * n >= 2 * sum(parts) else range(n + 1)
-    return Chain(alpha, tuple(fill_walk(parts, alpha.end, n, table, tuple)))
+    return Chain(alpha, tuple(fill_walk(alpha.parts, alpha.end, n, range(n + 1), tuple)))
+
+
+def elements_at(parts: tuple[int, ...], end: tuple[int, ...], n: int, positions: Iterable[int]) -> list:
+    """The elements of the chain of the start `parts` at the sorted
+    `positions` (0 is `parts` itself), as parts tuples, in one pass over the
+    row runs.
+
+    `end` is the end vector of `parts`, trusted as in `fill_walk`.  The
+    fills go to the bottom row first, then the one above, and so on: row i
+    holds n - parts[i] - end[i] of them, after the `base` fills of the rows
+    below it.  The pass moves up a row, filling it, while a position lies
+    past the current run, so the cost is O(m) steps plus one tuple copy per
+    position.  A position past the chain's end, which a faulty `end` can
+    give, fills row 0 to its capacity and no further.
+    """
+    cur = [*parts]
+    out = []
+    i, base = len(parts) - 1, 0
+    for j in positions:
+        while j - base > (d := n - parts[i] - end[i]) and i:
+            cur[i] = parts[i] + d
+            base += d
+            i -= 1
+        cur[i] = parts[i] + (j - base if j - base < d else d)
+        out.append(tuple(cur))
+    return out
 
 
 def element_at(alpha: StartVector, j: int) -> Composition:
-    """The j-th element of the chain of `alpha` (j = 0 is alpha itself).
-
-    Runs in O(m) from the per-row fillable capacities, without building the
-    tableau: the first fills go to the bottom row, then the one above, and
-    so on, so element j adds full capacities below a frontier row and a
-    partial count on it.
-    """
+    """The j-th element of the chain of `alpha` (j = 0 is alpha itself), in
+    O(m), read by `elements_at` without building the tableau."""
     parts = alpha.parts
-    n = alpha.shape.n
-    end = alpha.end
     total = alpha.shape.top_rank - 2 * sum(parts)
     if not 0 <= j <= total:
         raise IndexError(f"chain of {parts} has positions 0..{total}, got {j}")
-    out = list(parts)
-    left = j
-    for i in range(len(parts) - 1, -1, -1):
-        if left == 0:
-            break
-        d = n - parts[i] - end[i]
-        take = d if d < left else left
-        out[i] += take
-        left -= take
     # each row gains at most its capacity, so parts stay in [alpha_i, n]
-    return Composition._derived(alpha.shape, tuple(out))
+    return Composition._derived(alpha.shape, elements_at(parts, alpha.end, alpha.shape.n, (j,))[0])
 
 
 def chain_contains(alpha: StartVector, c: Composition) -> bool:

@@ -163,15 +163,17 @@ def _add_non_start(parts, n):
     return parts, middle_non_start(len(parts), n)
 
 
-def element_at_wrong_at_first_interior(original):
-    """A planted fault: random access returns element 0 for position 1 of
-    every chain with an interior position."""
+def reader_wrong_at_first_interior(original):
+    """A planted fault: the run reader, and so `element_at`, returns element
+    0 for position 1 of every chain with an interior position."""
 
-    def at(alpha, j):
-        interior = j == 1 and alpha.shape.top_rank - 2 * sum(alpha.parts) > 1
-        return original(alpha, 0 if interior else j)
+    def read(parts, end, n, positions):
+        out = original(parts, end, n, positions)
+        if len(parts) * n - 2 * sum(parts) > 1:
+            out = [tuple(parts) if j == 1 else el for j, el in zip(positions, out)]
+        return out
 
-    return at
+    return read
 
 
 # name -> (home module, production function, maker of its faulty version)
@@ -196,7 +198,7 @@ FAULTS = {
     "iter_start_parts dropping one start": ("starts", "iter_start_parts", starts_editing_keyed_start(_drop)),
     "iter_start_parts repeating one start": ("starts", "iter_start_parts", starts_editing_keyed_start(_repeat)),
     "iter_start_parts yielding a non-start": ("starts", "iter_start_parts", starts_editing_keyed_start(_add_non_start)),
-    "element_at wrong at one interior position": ("tableau", "element_at", element_at_wrong_at_first_interior),
+    "element_at wrong at one interior position": ("tableau", "elements_at", reader_wrong_at_first_interior),
 }
 
 _PACKAGE_MODULES = ("core", "starts", "tableau", "locate", "decompose", "render", "cli")

@@ -10,16 +10,20 @@ Each mutant makes one edit at one site of one module: it swaps `<`/`<=`,
 to an int constant.  The module is rewritten by `ast.unparse`, so comments
 and layout are lost; a control run of the unmutated rewrite must pass
 first.  Every mutant is written into one temporary copy of the checkout,
-never into the checkout itself, and tier-1 runs there with `-x`.  A mutant
-that tier-1 passes survived.  One line is printed per mutant, and the
-survivors are listed at the end.  Only the standard library is used, and
-each mutant costs one tier-1 run up to its first failure.
+never into the checkout itself, and tier-1 runs there with `-x`, under
+`AS_LIMIT` bytes of address space, which the control run must pass under
+too.  A mutant that tier-1 passes survived; one that exhausts the limit,
+or runs past `TIMEOUT_FACTOR` times the control run's wall time, is
+killed.  One line is printed per mutant, and the survivors are listed at
+the end.  Only the standard library is used, and each mutant costs one
+tier-1 run up to its first failure or its timeout.
 """
 
 from __future__ import annotations
 
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -29,7 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TIER_1 = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
-TIMEOUT_S = 600
+TIMEOUT_FACTOR = 3
+AS_LIMIT = 512 << 20
 
 SWAPS = {
     ast.Lt: ast.LtE,
@@ -95,13 +100,21 @@ def mutants(source: str):
         yield line, edit(), ast.unparse(tree)
 
 
-def tier_1(copy: Path) -> bool:
-    """Whether tier-1 passes in `copy`; a run past the timeout fails."""
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (AS_LIMIT, AS_LIMIT))
+
+
+def tier_1(copy: Path, timeout: float | None) -> bool:
+    """Whether tier-1 passes in `copy` under `AS_LIMIT`; a run past
+    `timeout` seconds fails."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     try:
-        return subprocess.run(TIER_1, cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S).returncode == 0
+        run = subprocess.run(
+            TIER_1, cwd=copy, env=env, capture_output=True, timeout=timeout, preexec_fn=_limit_address_space
+        )
     except subprocess.TimeoutExpired:
         return False
+    return run.returncode == 0
 
 
 def survey(modules: list[Path]) -> list[str]:
@@ -113,14 +126,17 @@ def survey(modules: list[Path]) -> list[str]:
         sources = {m: (ROOT / m).read_text() for m in modules}
         for m, source in sources.items():
             (copy / m).write_text(ast.unparse(ast.parse(source)))
-        if not tier_1(copy):
-            sys.exit("tier-1 fails on the unmutated rewrite; no mutant can be judged")
+        t0 = time.perf_counter()
+        if not tier_1(copy, None):
+            sys.exit(f"tier-1 fails on the unmutated rewrite under {AS_LIMIT} bytes; no mutant can be judged")
+        timeout = TIMEOUT_FACTOR * (time.perf_counter() - t0)
+        print(f"control run passed; each mutant's timeout is {timeout:.0f} s", flush=True)
         for m, source in sources.items():
             target, baseline = copy / m, ast.unparse(ast.parse(source))
             for line, what, mutated in mutants(source):
                 target.write_text(mutated)
                 t0 = time.perf_counter()
-                killed = not tier_1(copy)
+                killed = not tier_1(copy, timeout)
                 name = f"{m}:{line}  {what}"
                 print(f"{'killed  ' if killed else 'SURVIVED'}  {name}  ({time.perf_counter() - t0:.1f} s)", flush=True)
                 if not killed:

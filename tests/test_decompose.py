@@ -572,16 +572,22 @@ class TestVerify:
             assert {top - j for j in probed} == set(probed)
 
     def test_sampled_chain_and_its_mirror_are_read_once(self, monkeypatch):
-        # each sampled chain is read once, into one list every check reads,
-        # and its mirror once at the same positions: at most two reads of
-        # POSITIONS_PER_CHAIN element_at calls per chain.  The round trips
-        # that finish disjoint call element_at through tableau, not here
+        # each sampled chain is read by one run-reader pass, into one list
+        # every check reads, and its mirror, unless it is a fixed point, by
+        # one more at the same positions.  Every chain of the first 64 starts
+        # of N(12,9), and every mirror, has more than POSITIONS_PER_CHAIN
+        # elements, so none is walked whole.  The round trips that finish
+        # disjoint read through tableau's element_at, not here
         module = importlib.import_module("scdposet.decompose")
-        calls, element_at = [], module.element_at
-        monkeypatch.setattr(module, "element_at", lambda sv, j: calls.append(j) or element_at(sv, j))
+        calls, read = [], module.elements_at
+        monkeypatch.setattr(module, "elements_at", lambda parts, *rest: calls.append(parts) or read(parts, *rest))
         report = verify_with(monkeypatch, GridShape(12, 9), SAMPLE_STARTS=64)
         assert report.passed and report.check("saturated").message == "sampled 64 chains"
-        assert 64 * module.POSITIONS_PER_CHAIN < len(calls) <= 64 * 2 * module.POSITIONS_PER_CHAIN
+        expected = []
+        for parts in islice(iter_start_parts(GridShape(12, 9)), 64):
+            mirror = alpha_end_parts(parts, 9)[::-1]
+            expected += [parts] if mirror == parts else [parts, mirror]
+        assert calls == expected and len(expected) > 64
 
 
 def reference_partition(m, n, chains):

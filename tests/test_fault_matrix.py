@@ -33,7 +33,7 @@ MATRIX = {
     "alpha_end_parts shifted down": (ALPHA_END | {"partition"}, ALPHA_END),
     # each end is a true element one below its top: it locates to the start,
     # and symmetric sees its rank; sampled mode probes the position the
-    # length formula gives, where element_at repeats the short top
+    # length formula gives, where the run reader repeats the short top
     "alpha_end_parts one forbidden cell too many in the last row filled": (
         ALPHA_END | {"partition"},
         ALPHA_END | {"saturated"},
@@ -46,7 +46,7 @@ MATRIX = {
     # the keyed chain of (1, 0, ..., 0) lies past the first 64 starts, and
     # sampled mode walks only the mirror of a chain of at most 64 elements:
     # every chain of those starts, its partner's too, is longer and is read
-    # by random access
+    # by the run reader
     "fill_walk skipping one element": (WALK | {"partition"}, set()),
     "fill_walk repeating one element": (WALK | {"partition"}, set()),
     "fill_walk swapping two elements": (WALK, set()),
@@ -57,7 +57,8 @@ MATRIX = {
     # still running; the chains after it are never claimed or counted
     "iter_start_parts yielding a non-start": ({"partition", "symmetric", "middle-rank-count"}, set()),
     # full mode reads every chain from the walk; only the random round
-    # trips that finish `disjoint` read chains through element_at
+    # trips that finish `disjoint` read chains through element_at, which
+    # reads through the run reader
     "element_at wrong at one interior position": ({"disjoint"}, {"saturated", "disjoint", "involution"}),
 }
 

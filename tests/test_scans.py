@@ -1,7 +1,8 @@
 """The O(m) scans `verify` runs per chain, against the independent oracles.
 
 `alpha_end_parts` and `locate_parts` keep one running difference of two
-block sums, and `greedy_counts` one pointer with the free cells left on its
+block sums, `greedy_counts` one pointer with the free cells left on its
+row, and the run reader `elements_at` one running base of fills below its
 row.  Each is compared, on every composition of the small shapes and on
 seeded draws up to m = 2,000, with `conftest`'s literal block sums and
 brute-force start test, or with the literal greedy grid.  Refusals are
@@ -9,15 +10,18 @@ compared too: where the oracle refuses an input, the scan raises the same
 exception with the same message.
 """
 
+import importlib
 import random
 
 import pytest
 
 from scdposet.locate import locate_parts
 from scdposet.starts import NotStartVectorError, alpha_end_parts
-from scdposet.tableau import Forbidden, TableauConstructionError, greedy_counts
+from scdposet.tableau import Fillable, Forbidden, TableauConstructionError, elements_at, greedy_counts
 
 from conftest import SMALL_SHAPES, all_parts, brute_is_start, literal_end_vector, literal_grid
+
+positions = importlib.import_module("scdposet.decompose")._positions
 
 
 def outcome(scan, parts, n):
@@ -54,6 +58,30 @@ def on_literal_chain(c, alpha, n):
     k = next((i for i, (x, a) in enumerate(zip(c, alpha)) if x != a), len(c) - 1)
     below_full = all(c[i] == n - end[i] for i in range(k + 1, len(c)))
     return below_full and alpha[k] <= c[k] <= n - end[k]
+
+
+def literal_chain(parts, n):
+    """The chain of the start `parts` read off the literal greedy grid: the
+    j-th element adds to `parts` one cell for each fillable cell numbered
+    at most j."""
+    grid = literal_grid(parts, n)
+    fills = sorted((cell.order, i) for i, row in enumerate(grid) for cell in row if isinstance(cell, Fillable))
+    chain, cur = [tuple(parts)], list(parts)
+    for _, i in fills:
+        cur[i] += 1
+        chain.append(tuple(cur))
+    return chain
+
+
+def capacity_element(parts, end, n, j):
+    """The j-th element of the chain of `parts` from the per-row capacities
+    n - parts[i] - end[i], filled bottom row first."""
+    el = list(parts)
+    for i in range(len(parts) - 1, -1, -1):
+        take = min(n - parts[i] - end[i], j)
+        el[i] += take
+        j -= take
+    return tuple(el)
 
 
 def draws(count, seed, max_n):
@@ -117,3 +145,34 @@ def test_greedy_counts_matches_the_literal_grid_on_long_draws():
         accepted += expected[0] is not TableauConstructionError
         refused += expected[0] is TableauConstructionError
     assert accepted >= 10 and refused >= 10
+
+
+def starts_of(m, n):
+    return [parts for parts in all_parts(m, n) if brute_is_start(parts, n)]
+
+
+@pytest.mark.parametrize("m, n", SMALL_SHAPES)
+def test_elements_at_reads_the_literal_chain_everywhere(m, n):
+    rng = random.Random(m * 100 + n)
+    for parts in starts_of(m, n):
+        chain, end = literal_chain(parts, n), literal_end_vector(parts, n)
+        k = len(chain) - 1
+        subset = sorted(rng.sample(range(k + 1), rng.randint(1, k + 1)))
+        for probed in (range(k + 1), positions(k), subset):
+            assert elements_at(parts, end, n, probed) == [chain[j] for j in probed], (parts, list(probed))
+
+
+def test_elements_at_follows_the_literal_capacities_on_long_draws():
+    rng = random.Random(8)
+    read = 0
+    for parts, n in draws(40, seed=8, max_n=100):
+        end = literal_end_vector(parts, n)
+        if end is None or not brute_is_start(parts, n):
+            continue
+        k = len(parts) * n - 2 * sum(parts)
+        subset = sorted(rng.sample(range(k + 1), min(k + 1, 40)))
+        for probed in (positions(k), subset):
+            expected = [capacity_element(parts, end, n, j) for j in probed]
+            assert elements_at(parts, end, n, probed) == expected, (parts, n)
+        read += 1
+    assert read >= 10

@@ -278,10 +278,12 @@ class TestElementAt:
         assert element_at(SAMPLE_B, 2).parts == (2, 3, 2, 1)
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as past:
             element_at(SAMPLE_B, 5)
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError) as below:
             element_at(SAMPLE_B, -1)
+        assert str(past.value) == "chain of (1, 3, 2, 0) has positions 0..4, got 5"
+        assert str(below.value) == "chain of (1, 3, 2, 0) has positions 0..4, got -1"
 
     def test_agrees_with_materialized_chain(self, small_shape):
         for parts in iter_start_parts(small_shape):
