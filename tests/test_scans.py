@@ -147,14 +147,10 @@ def test_greedy_counts_matches_the_literal_grid_on_long_draws():
     assert accepted >= 10 and refused >= 10
 
 
-def starts_of(m, n):
-    return [parts for parts in all_parts(m, n) if brute_is_start(parts, n)]
-
-
 @pytest.mark.parametrize("m, n", SMALL_SHAPES)
 def test_elements_at_reads_the_literal_chain_everywhere(m, n):
     rng = random.Random(m * 100 + n)
-    for parts in starts_of(m, n):
+    for parts in filter(lambda parts: brute_is_start(parts, n), all_parts(m, n)):
         chain, end = literal_chain(parts, n), literal_end_vector(parts, n)
         k = len(chain) - 1
         subset = sorted(rng.sample(range(k + 1), rng.randint(1, k + 1)))
